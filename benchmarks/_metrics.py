@@ -1,8 +1,8 @@
 """Machine-readable benchmark metrics — one ``BENCH_<name>.json`` per module.
 
 Every ``bench_*.py`` funnels its measurements through :func:`emit`, so CI
-can archive the numbers behind EXPERIMENTS.md as artifacts instead of
-scraping them out of captured stdout.  A file holds::
+can archive the numbers as artifacts instead of scraping them out of
+captured stdout.  A file holds::
 
     {
       "schema": 1,

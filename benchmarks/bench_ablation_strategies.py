@@ -1,6 +1,6 @@
 """Experiment E12 — ablation of the implementation choices.
 
-DESIGN.md calls out three implementation decisions worth quantifying:
+Three implementation decisions are worth quantifying:
 
 * the counting-based ``S_P`` evaluation versus the naive ``T_{P∪Ĩ}``
   iteration the definition literally prescribes;

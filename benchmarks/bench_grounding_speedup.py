@@ -200,7 +200,7 @@ def test_win_move_no_regression(report):
 @pytest.mark.repro("E14")
 @pytest.mark.parametrize("matcher", ["indexed", "scan"])
 def test_timed_grounding_chain40(benchmark, matcher):
-    """pytest-benchmark recording for EXPERIMENTS.md-style comparison."""
+    """pytest-benchmark timing record (compare runs with ``--benchmark-compare``)."""
     program = transitive_closure_program(chain_edges(40))
     grounded = benchmark(lambda: relevant_ground(program, matcher=matcher))
     assert grounded.is_ground

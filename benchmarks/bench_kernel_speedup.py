@@ -238,7 +238,7 @@ def test_kernel_vs_monolithic(report):
 @pytest.mark.repro("E16")
 @pytest.mark.parametrize("engine", ["kernel", "modular"])
 def test_timed_kernel_wfs(benchmark, engine):
-    """pytest-benchmark recording for EXPERIMENTS.md-style comparison."""
+    """pytest-benchmark timing record (compare runs with ``--benchmark-compare``)."""
     context = build_context(layered_program(4, 40))
     if engine == "kernel":
         compile_context(context)

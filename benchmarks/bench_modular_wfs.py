@@ -174,7 +174,7 @@ def test_dispatch_statistics():
 @pytest.mark.repro("E15")
 @pytest.mark.parametrize("engine", ["modular", "monolithic"])
 def test_timed_layered_wfs(benchmark, engine):
-    """pytest-benchmark recording for EXPERIMENTS.md-style comparison."""
+    """pytest-benchmark timing record (compare runs with ``--benchmark-compare``)."""
     context = build_context(layered_program(4, 40))
     if engine == "modular":
         result = benchmark(lambda: modular_well_founded(context))

@@ -6,8 +6,7 @@ regarded as fixed."  The benchmark sweeps win–move games and random
 propositional programs of increasing size and records the alternating
 fixpoint cost; the assertions check the structural facts that drive the
 polynomial bound (the number of S̃_P applications is at most ~2·|H| + 2)
-rather than wall-clock ratios, which pytest-benchmark records for
-EXPERIMENTS.md.
+rather than wall-clock ratios, which pytest-benchmark records.
 """
 
 import pytest

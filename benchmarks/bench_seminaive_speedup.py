@@ -131,7 +131,7 @@ def test_polytime_scaling_speedup(report):
 @pytest.mark.repro("E13")
 @pytest.mark.parametrize("strategy", ["seminaive", "naive"])
 def test_timed_afp_chain64(benchmark, strategy):
-    """pytest-benchmark recording for EXPERIMENTS.md-style comparison."""
+    """pytest-benchmark timing record (compare runs with ``--benchmark-compare``)."""
     context = build_context(win_move_program(chain_edges(64)))
     result = benchmark(lambda: alternating_fixpoint(context, strategy=strategy))
     assert result.is_total

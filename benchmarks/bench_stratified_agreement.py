@@ -5,7 +5,7 @@ unique stable model that coincide with each other and with the perfect
 model."  The benchmarks evaluate stratified workloads under the stratified
 evaluator, the alternating fixpoint and the stable-model enumerator and
 assert the three-way agreement, timing each evaluator for the ablation
-record in EXPERIMENTS.md.
+record (``BENCH_stratified_agreement.json``).
 """
 
 import pytest

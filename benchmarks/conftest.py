@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Each ``bench_*.py`` module regenerates one table or figure of the paper
-(see DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-outcomes).  The benchmarks use ``pytest-benchmark`` for timing and also
+(the ``E<n>`` experiment id is in its docstring and its ``repro`` marker;
+the measured numbers land in ``BENCH_<name>.json``, see ``_metrics.py``).  The benchmarks use ``pytest-benchmark`` for timing and also
 *assert* the qualitative shape the paper reports — who wins, what is true /
 false / undefined — so a benchmark run doubles as a reproduction check.
 

@@ -16,7 +16,7 @@ from .local_stratification import is_locally_stratified
 from .stratification import is_stratified
 from .strictness import analyse_strictness
 
-__all__ = ["ProgramClassification", "classify"]
+__all__ = ["ProgramClassification", "classify", "recommend_semantics"]
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,7 @@ class ProgramClassification:
     def recommended_semantics(self) -> str:
         """The cheapest semantics that agrees with the well-founded model on
         this class of programs."""
-        if self.is_definite:
-            return "horn"
-        if self.is_stratified:
-            return "stratified"
-        return "alternating-fixpoint"
+        return _recommend(self.is_definite, self.is_stratified)
 
     def summary(self) -> dict[str, bool | str]:
         return {
@@ -88,3 +84,21 @@ def classify(program: Program, check_local: bool = True) -> ProgramClassificatio
         is_ground=program.is_ground,
         is_propositional=program.is_propositional,
     )
+
+
+def recommend_semantics(program: Program) -> str:
+    """``classify(program).recommended_semantics``, computing only what the
+    recommendation reads: the definite flag, then (for programs with
+    negation) the stratified one — no strictness or local-stratification
+    analysis."""
+    if program.is_definite:
+        return _recommend(True, True)
+    return _recommend(False, is_stratified(program))
+
+
+def _recommend(definite: bool, stratified: bool) -> str:
+    if definite:
+        return "horn"
+    if stratified:
+        return "stratified"
+    return "alternating-fixpoint"

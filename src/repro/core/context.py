@@ -33,7 +33,6 @@ from ..datalog.grounding import (
     herbrand_base,
     naive_ground,
     relevant_ground,
-    stream_relevant_ground,
 )
 from ..datalog.rules import Program, Rule
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -121,11 +120,10 @@ def build_context(
     grounder:
         ``"relevant"`` (default) instantiates only rules whose positive body
         is supportable — equivalent for the well-founded, stable, stratified,
-        Horn and inflationary semantics.  It runs the indexed semi-naive
-        grounder and consumes its rule stream incrementally: facts, rule
-        decomposition and the occurring-atom base are built in the same
-        pass that grounds, with no intermediate program materialised
-        first.  ``"relevant-scan"`` is the same relevant grounding computed
+        Horn and inflationary semantics.  It runs the int-level semi-naive
+        grounder (:class:`repro.kernel.ground.IntGrounding`) and decodes its
+        rules to objects.
+        ``"relevant-scan"`` is the same relevant grounding computed
         by the original linear-scan matcher (the differential oracle).
         ``"naive"`` is the literal Herbrand instantiation ``P_H``; the
         Fitting semantics needs it because it can leave *underivable* atoms
@@ -137,10 +135,8 @@ def build_context(
     store:
         An optional :class:`~repro.storage.FactStore` supplying EDB facts
         alongside the program's own fact rules.  With the default
-        ``"relevant"`` grounder and a non-ground program, the store's rows
-        and bound-position indexes are probed in place by the streaming
-        grounder — the per-solve copy of the fact base into a fresh
-        ``RelationStore`` disappears.  Ground programs and the other
+        ``"relevant"`` grounder and a non-ground program, the grounder
+        interns the store's facts directly.  Ground programs and the other
         grounders materialise the store's facts into the program instead
         (preserving their exact historical rule sets and atom bases).
     recorder:
@@ -162,34 +158,28 @@ def build_context(
         if store is not None and (program.is_ground or grounder != "relevant"):
             program = Program.union(store.as_program(), program)
             store = None
-        grounded: Program | None
         if program.is_ground:
             grounded = program
-            rule_stream: Iterable[Rule] = program
         elif grounder == "naive":
             grounded = naive_ground(program, limits)
-            rule_stream = grounded
         elif grounder == "relevant-scan":
             grounded = relevant_ground(program, limits, matcher="scan")
-            rule_stream = grounded
         else:
-            # Consume the indexed grounder's incremental stream directly.
-            grounded = None
-            rule_stream = stream_relevant_ground(
-                program, limits, store=store, recorder=recorder
+            # Deferred import: the kernel package imports this module.
+            from ..kernel.ground import IntGrounding
+
+            grounded = Program(
+                IntGrounding.build(program, store=store, limits=limits, recorder=recorder).rules()
             )
 
-        collected: list[Rule] | None = [] if grounded is None else None
         facts: set[Atom] = set()
         ground_rules: list[GroundRule] = []
         occurring: set[Atom] = set()
         # Already-ground programs bypass the grounder's own budget ticks,
         # so the collection loop checkpoints the ambient meter itself.
         meter = current_meter()
-        for rule in rule_stream:
+        for rule in grounded:
             meter.tick("ground", stride=256)
-            if collected is not None:
-                collected.append(rule)
             if rule.is_fact:
                 facts.add(rule.head)
                 occurring.add(rule.head)
@@ -200,8 +190,6 @@ def build_context(
             occurring.add(rule.head)
             occurring.update(positive)
             occurring.update(negative)
-        if grounded is None:
-            grounded = Program(collected)
 
         base: set[Atom] = set(occurring)
         base.update(extra_atoms)

@@ -19,7 +19,7 @@ from .grounding import (
     relevant_ground,
     stream_relevant_ground,
 )
-from .joins import Relation, RelationStore, greedy_join_order, join_bindings
+from .joins import Relation, RelationStore
 from .io import (
     load_facts_csv,
     load_interpretation_json,
@@ -54,8 +54,6 @@ __all__ = [
     "stream_relevant_ground",
     "Relation",
     "RelationStore",
-    "greedy_join_order",
-    "join_bindings",
     "load_facts_csv",
     "load_interpretation_json",
     "load_program",

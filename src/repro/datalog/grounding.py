@@ -24,19 +24,15 @@ Two grounding strategies are provided:
 :func:`relevant_ground` itself dispatches between two matchers, mirroring
 the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
 
-* ``"indexed"`` (default) — a fused semi-naive grounder built on the
-  hash-join relations of :mod:`repro.datalog.joins`.  The envelope fixpoint
-  is delta-driven: each round evaluates, per rule, one variant per positive
-  conjunct with that conjunct restricted to the rows derived in the
-  previous round (earlier conjuncts to strictly older rows, later ones to
-  everything), so every rule instance is enumerated exactly once, the
-  moment its last supporting atom appears.  Conjuncts are joined in greedy
-  most-bound-first order through lazily built argument-position hash
-  indexes, and ground rules are emitted incrementally — there is no
-  separate re-instantiation pass.  :func:`stream_relevant_ground` exposes
-  the incremental rule stream directly (consumed by
-  :func:`repro.core.context.build_context` to build evaluation contexts
-  without an intermediate program).
+* ``"indexed"`` (default) — the int-level semi-naive grounder of
+  :mod:`repro.kernel.ground`.  Terms are interned to ints once, each rule
+  is compiled to variable slots, and the envelope fixpoint runs
+  delta-window hash joins over int-tuple relations, emitting every rule
+  instance exactly once.  Its output is the kernel's flat IR; this module
+  decodes it to :class:`~repro.datalog.rules.Rule` objects for consumers
+  that want objects (:func:`stream_relevant_ground`).  The one-shot
+  well-founded solve never decodes rules at all: it hands the IR straight
+  to the kernel evaluator.
 * ``"scan"`` — the original matcher: a naive envelope fixpoint that
   re-matches every rule against the whole derivable set each round by
   linear scan over per-signature fact lists, then a second pass that
@@ -44,9 +40,10 @@ the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
   workloads; kept as the differential-testing oracle.
 
 Programs with function symbols have infinite Herbrand universes; the
-``max_depth`` parameter bounds the term nesting considered, which is the
-substitution documented in DESIGN.md (all paper experiments are
-function-free).
+``max_depth`` parameter of :func:`naive_ground` bounds the term nesting
+considered (all paper experiments are function-free).  The relevant
+grounders need no bound: they terminate whenever the positive envelope's
+minimum model is finite, and ``max_rules`` guards the rest.
 """
 
 from __future__ import annotations
@@ -56,12 +53,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ..exceptions import GroundingError
-from ..obs.recorder import NULL_RECORDER, Recorder
+from ..obs.recorder import Recorder
 from ..resilience.budget import Budget, current_meter
 from .atoms import Atom, Literal
-from .joins import RelationStore, join_bindings
 from .rules import Program, Rule
-from .terms import Constant, Term, Variable, enumerate_ground_terms, term_constants, term_functions
+from .terms import Constant, Term, enumerate_ground_terms, term_constants, term_functions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
@@ -76,6 +72,7 @@ __all__ = [
     "relevant_ground",
     "stream_relevant_ground",
     "ground_program",
+    "grounding_meter",
 ]
 
 DEFAULT_MAX_GROUND_RULES = 2_000_000
@@ -105,7 +102,7 @@ class GroundingLimits:
     max_seconds: float | None = None
 
 
-def _grounding_meter(limits: GroundingLimits):
+def grounding_meter(limits: GroundingLimits):
     """The budget meter one grounding run checks against.
 
     The legacy per-grounding ``limits.max_seconds`` starts a local
@@ -199,7 +196,7 @@ def naive_ground(program: Program, limits: GroundingLimits | None = None) -> Pro
     exceed ``limits.max_rules``.
     """
     limits = limits or GroundingLimits()
-    budget = _grounding_meter(limits)
+    budget = grounding_meter(limits)
     universe = herbrand_universe(program, limits.max_depth)
     ground_rules: list[Rule] = []
     for rule in program:
@@ -224,97 +221,6 @@ def _validate_matcher(matcher: str) -> None:
     if matcher not in GROUNDING_MATCHERS:
         choices = ", ".join(GROUNDING_MATCHERS)
         raise GroundingError(f"unknown grounding matcher {matcher!r}; expected one of: {choices}")
-
-
-class _SplitRelation:
-    """One relation's joint row space: the frozen base store's rows in
-    ``[0, base_bound)`` followed by the run's overlay rows shifted up by
-    ``base_bound`` — presented through the ``candidate_rows`` probe shape
-    :func:`repro.datalog.joins.join_bindings` consumes."""
-
-    __slots__ = ("store", "predicate", "arity", "base_bound", "overlay")
-
-    def __init__(
-        self,
-        store: "FactStore",
-        predicate: str,
-        arity: int,
-        base_bound: int,
-        overlay: RelationStore,
-    ):
-        self.store = store
-        self.predicate = predicate
-        self.arity = arity
-        self.base_bound = base_bound
-        self.overlay = overlay
-
-    def candidate_rows(
-        self,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterator[tuple[int, tuple[Term, ...]]]:
-        bound = self.base_bound
-        if lo < bound:
-            yield from self.store.candidate_rows(
-                self.predicate, self.arity, positions, key, lo, min(hi, bound)
-            )
-        if hi > bound:
-            relation = self.overlay.relation(self.predicate, self.arity)
-            if relation is not None:
-                for sequence, row in relation.candidate_rows(
-                    positions, key, max(lo - bound, 0), hi - bound
-                ):
-                    yield sequence + bound, row
-
-
-class _EnvelopeSpace:
-    """The envelope fixpoint's atom space over an optional live base store.
-
-    Without a base this is exactly the per-run :class:`RelationStore` the
-    grounder has always used.  With one, the base's rows (and its lazily
-    built, *persistent* indexes) are probed in place — never copied or
-    re-indexed — and only the atoms derived during this run land in the
-    per-run overlay.  The base must not be mutated while the run's windows
-    are live.
-    """
-
-    __slots__ = ("base", "overlay", "base_bounds", "_views")
-
-    def __init__(self, base: "FactStore | None"):
-        self.base = base
-        self.overlay = RelationStore()
-        self.base_bounds: dict[tuple[str, int], int] = dict(base.sizes()) if base else {}
-        self._views: dict[tuple[str, int], _SplitRelation] = {}
-
-    def add_atom(self, atom: Atom) -> bool:
-        if self.base is not None and self.base.contains_atom(atom):
-            return False
-        return self.overlay.add_atom(atom)
-
-    def __contains__(self, atom: Atom) -> bool:
-        if self.base is not None and self.base.contains_atom(atom):
-            return True
-        return atom in self.overlay
-
-    def sizes(self) -> dict[tuple[str, int], int]:
-        sizes = dict(self.base_bounds)
-        for key, relation in self.overlay.relations.items():
-            sizes[key] = sizes.get(key, 0) + relation.sequence_bound
-        return sizes
-
-    def relation(self, predicate: str, arity: int):
-        key = (predicate, arity)
-        base_bound = self.base_bounds.get(key, 0)
-        if not base_bound:
-            return self.overlay.relation(predicate, arity)
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = _SplitRelation(
-                self.base, predicate, arity, base_bound, self.overlay
-            )
-        return view
 
 
 def relevant_ground(
@@ -344,13 +250,13 @@ def relevant_ground(
     by default.
 
     *matcher* selects the implementation (see the module docstring):
-    ``"indexed"`` — the semi-naive hash-join grounder — or ``"scan"`` — the
+    ``"indexed"`` — the int-level semi-naive grounder — or ``"scan"`` — the
     original linear-scan oracle.  Both produce the same rule set (the
     property suite asserts this), differing only in enumeration order.
 
     *store*, when given, supplies EDB facts from a live
     :class:`~repro.storage.FactStore` in addition to the program's own fact
-    rules; the indexed matcher probes the store's indexes in place (see
+    rules; the indexed matcher interns them (see
     :func:`stream_relevant_ground`), the scan oracle materialises the
     store's facts into the program first.
     """
@@ -368,153 +274,25 @@ def stream_relevant_ground(
     store: "FactStore | None" = None,
     recorder: Recorder | None = None,
 ) -> Iterator[Rule]:
-    """Stream the relevant grounding incrementally (indexed matcher).
+    """Yield the ground rules of ``relevant_ground(program)`` (indexed matcher).
 
-    Yields the ground rules of ``relevant_ground(program)`` one at a time,
-    as the fused semi-naive envelope fixpoint derives them: facts first
-    (sorted), then each rule instance the moment the delta round supplying
-    its last positive body atom completes its join.  Consumers such as
-    :func:`repro.core.context.build_context` use the stream to build their
-    own indexes in the same pass instead of waiting for the full program.
-
-    *store*, when given, is a live :class:`~repro.storage.FactStore` whose
-    facts join the program's own fact rules as the EDB.  Its rows are
-    probed **in place** through the store's bound-position indexes — the
-    store is never copied into a per-run ``RelationStore``, and for the
-    in-memory backend the indexes one run builds are reused by the next.
-    The store must not be mutated while the stream is being consumed.
+    Runs the int grounder (:class:`repro.kernel.ground.IntGrounding`) and
+    decodes its output: fact rules first (sorted), then each rule instance
+    in derivation order.  *store*, when given, is a live
+    :class:`~repro.storage.FactStore` whose facts join the program's own
+    fact rules as the EDB; it is read once (its facts are interned) and
+    never written.
 
     *recorder*, when tracing (see :mod:`repro.obs`), accumulates the
     ``ground.rounds`` / ``ground.delta_atoms`` / ``ground.rules_emitted``
     counters — one tally per envelope round, never per row.
     """
-    limits = limits or GroundingLimits()
-    budget = _grounding_meter(limits)
-    recorder = recorder if recorder is not None else NULL_RECORDER
-    program.check_safety()
+    from ..kernel.ground import IntGrounding  # deferred: the kernel imports this module
 
-    seen: set[Rule] = set()
-    emitted = 0
-
-    space = _EnvelopeSpace(store)
-    pending: list[Atom] = []
-    pending_set: set[Atom] = set()
-
-    def derive(atom: Atom) -> None:
-        if atom not in pending_set and atom not in space:
-            pending_set.add(atom)
-            pending.append(atom)
-
-    facts = set(program.fact_atoms())
-    if store is not None:
-        facts.update(store.facts())
-    for fact in sorted(facts, key=str):
-        rule = Rule(fact)
-        if rule not in seen:
-            seen.add(rule)
-            emitted += 1
-            yield rule
-        # Facts already present in the base store are part of round 0's
-        # delta windows by construction; `derive` skips them.
-        derive(fact)
-
-    decomposed: list[tuple[Rule, tuple[Atom, ...], tuple[tuple[str, int], ...]]] = []
-    for rule in program.non_fact_rules():
-        positive = tuple(lit.atom for lit in rule.body if lit.positive)
-        signatures = tuple((atom.predicate, atom.arity) for atom in positive)
-        decomposed.append((rule, positive, signatures))
-
-    # Rules with no positive conjuncts are ground (safety) and fire exactly
-    # once, seeding the envelope alongside the facts.
-    for rule, positive, _ in decomposed:
-        if positive:
-            continue
-        ground = _instantiate_rule(rule, {})
-        if ground not in seen:
-            seen.add(ground)
-            emitted += 1
-            if emitted > limits.max_rules:
-                raise GroundingError(f"grounding exceeded the limit of {limits.max_rules} rules")
-            yield ground
-        derive(ground.head)
-
-    # ------------------------------------------------------------------ #
-    # Semi-naive envelope fixpoint fused with rule instantiation: the
-    # round's delta is joined through the hash indexes, emitting each
-    # ground rule exactly once, and newly derived heads become the next
-    # delta.  Variant i pins conjunct i to the delta rows, conjuncts
-    # before i to strictly older rows and conjuncts after i to all rows,
-    # so no binding is enumerated twice.
-    # ------------------------------------------------------------------ #
-    # With a base store, round 0 must also sweep the base rows: old_sizes
-    # starts all-zero, so the first round's delta windows cover them even
-    # when no program fact added anything to the overlay.
-    old_sizes: dict[tuple[str, int], int] = {}
-    base_round = bool(space.base_bounds)
-    while pending or base_round:
-        base_round = False
-        batch = pending
-        pending = []
-        for atom in batch:
-            space.add_atom(atom)
-        pending_set.clear()
-        new_sizes = space.sizes()
-        if recorder.enabled:
-            recorder.count("ground.rounds")
-            recorder.count("ground.delta_atoms", len(batch))
-
-        for rule, positive, signatures in decomposed:
-            if not positive:
-                continue
-            budget.check("ground")
-            for i, delta_signature in enumerate(signatures):
-                delta_lo = old_sizes.get(delta_signature, 0)
-                delta_hi = new_sizes.get(delta_signature, 0)
-                if delta_hi <= delta_lo:
-                    continue
-                windows = []
-                for j, signature in enumerate(signatures):
-                    if j < i:
-                        windows.append((0, old_sizes.get(signature, 0)))
-                    elif j == i:
-                        windows.append((delta_lo, delta_hi))
-                    else:
-                        windows.append((0, new_sizes.get(signature, 0)))
-                for binding in join_bindings(positive, windows, space, seed=i):
-                    ground = _instantiate_rule(rule, binding)
-                    if ground not in seen:
-                        seen.add(ground)
-                        emitted += 1
-                        if emitted > limits.max_rules:
-                            raise GroundingError(
-                                f"grounding exceeded the limit of {limits.max_rules} rules"
-                            )
-                        yield ground
-                    derive(ground.head)
-                    budget.tick("ground")
-        old_sizes = new_sizes
-    if recorder.enabled:
-        recorder.count("ground.rules_emitted", emitted)
-
-
-def _instantiate_rule(rule: Rule, binding: dict[Variable, Term]) -> Rule:
-    """Instantiate *rule* under *binding*, checking groundness as the old
-    matcher did (defensive: safety has already been validated)."""
-    head = rule.head.substitute(binding)
-    if not head.is_ground:
-        raise GroundingError(
-            f"rule '{rule}' produced a non-ground head {head}; the rule is unsafe"
-        )
-    body: list[Literal] = []
-    for lit in rule.body:
-        ground_lit = lit.substitute(binding)
-        if lit.negative and not ground_lit.is_ground:
-            raise GroundingError(
-                f"negative literal {lit} in rule '{rule}' is not ground "
-                "after binding positive body variables; the rule is unsafe"
-            )
-        body.append(ground_lit)
-    return Rule(head, tuple(body))
+    grounding = IntGrounding.build(
+        program, store=store, limits=limits, recorder=recorder, join_ground=True
+    )
+    yield from grounding.rules()
 
 
 def _scan_relevant_ground(program: Program, limits: GroundingLimits | None = None) -> Program:
@@ -526,7 +304,7 @@ def _scan_relevant_ground(program: Program, limits: GroundingLimits | None = Non
     from .unification import match_atom  # local import to avoid a cycle at import time
 
     limits = limits or GroundingLimits()
-    budget = _grounding_meter(limits)
+    budget = grounding_meter(limits)
     program.check_safety()
 
     facts = set(program.fact_atoms())

@@ -1,52 +1,30 @@
-"""Hash-join relations for bottom-up grounding.
+"""Hash-indexed relations: the in-memory fact store's row layout.
 
-The grounder's inner loop is a conjunctive join: given a rule body
-``b1, ..., bn`` and a growing set of derivable ground atoms, enumerate
-every variable binding under which all conjuncts are satisfied.  The
-original matcher scanned the whole per-predicate fact list for every
-conjunct; this module provides the three ingredients production bottom-up
-engines (soufflé / clingo-style) use instead:
+:class:`Relation` holds the ground facts of one ``(predicate, arity)``
+signature in insertion order with **lazy hash indexes keyed on
+bound-argument positions**: a probe with ``k`` bound argument positions
+builds (once, then maintains incrementally) a dict from the projected key
+tuple to the matching row ids, so later probes cost O(1) plus the matches
+instead of a scan.  Every row carries its insertion sequence number, so a
+probe can be restricted to a ``[lo, hi)`` *delta window* of rows — the
+probe shape of :meth:`repro.storage.FactStore.candidate_rows`.
+:class:`RelationStore` keys relations on the full signature.
 
-* :class:`Relation` — the ground facts of one ``(predicate, arity)``
-  signature, stored in insertion order with **lazy hash indexes keyed on
-  bound-argument positions**.  A probe with ``k`` bound argument positions
-  builds (once, then maintains incrementally) a dict from the projected
-  key tuple to the matching row ids, so subsequent probes cost O(1) plus
-  the matches instead of a scan.
-* **Delta windows** — every row carries its insertion sequence number, so
-  a probe can be restricted to rows added before / within / up to a round
-  boundary.  This is what makes semi-naive evaluation cheap: the classic
-  rewriting evaluates, per rule and round, one variant per positive
-  conjunct with that conjunct ranging over the *delta* rows, earlier
-  conjuncts over strictly older rows, and later conjuncts over everything
-  — enumerating every new binding exactly once.
-* **Greedy join ordering** (:func:`greedy_join_order`) — conjuncts are
-  reordered so the next atom joined is the one with the most bound
-  argument positions (breaking ties toward the smallest row window),
-  instead of fixed left-to-right order.
-
-:func:`join_bindings` glues the three together and is the only entry point
-the grounder needs.
+:class:`repro.storage.MemoryStore` keeps its facts here.  The grounder
+itself joins over interned ints (:mod:`repro.kernel.ground`), reading a
+store's relations once per run.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional
 
 from .atoms import Atom
-from .terms import Term, Variable, term_variables
-from .unification import Substitution, binding_pattern, match_projected
+from .terms import Term
 
-__all__ = [
-    "Relation",
-    "RelationStore",
-    "greedy_join_order",
-    "join_bindings",
-]
-
-Window = tuple[int, int]
+__all__ = ["Relation", "RelationStore"]
 
 
 class Relation:
@@ -59,8 +37,8 @@ class Relation:
     maintained incrementally on every :meth:`add`, so the cost of an index
     is only paid for patterns the workload's rules really use.
 
-    Removal (used by the long-lived :class:`repro.storage.MemoryStore`,
-    never by a grounding run) leaves a ``None`` tombstone in ``rows`` so
+    Removal (used by the long-lived :class:`repro.storage.MemoryStore`)
+    leaves a ``None`` tombstone in ``rows`` so
     the sequence numbers of surviving rows — which delta windows and index
     posting lists are keyed on — stay valid; probes skip tombstones, and
     :meth:`compact` rebuilds once the garbage dominates.
@@ -213,8 +191,7 @@ class Relation:
         hi: int,
     ) -> Iterator[tuple[int, tuple[Term, ...]]]:
         """:meth:`candidates` paired with the rows themselves — the probe
-        shape shared with :class:`repro.storage.FactStore` backends, which
-        the join enumerator consumes."""
+        shape shared with :class:`repro.storage.FactStore` backends."""
         rows = self.rows
         for sequence in self.candidates(positions, key, lo, hi):
             yield sequence, rows[sequence]
@@ -228,7 +205,7 @@ class Relation:
 
 
 class RelationStore:
-    """All relations of one grounding run, keyed on ``(predicate, arity)``.
+    """A set of relations keyed on ``(predicate, arity)``.
 
     Keying on the full signature (rather than the predicate name alone)
     means a probe for ``p/2`` never wades through ``p/1`` facts.
@@ -261,7 +238,7 @@ class RelationStore:
 
     def sizes(self) -> dict[tuple[str, int], int]:
         """Sequence bound per relation — a round boundary snapshot.  Equal
-        to the row count under the grounder's add-only usage."""
+        to the row count while nothing has been removed."""
         return {key: relation.sequence_bound for key, relation in self.relations.items()}
 
     def statistics(self) -> dict[str, int]:
@@ -270,100 +247,3 @@ class RelationStore:
             "rows": sum(len(r) for r in self.relations.values()),
             "indexes": sum(len(r.indexes) for r in self.relations.values()),
         }
-
-
-def greedy_join_order(
-    conjuncts: Sequence[Atom],
-    windows: Sequence[Window],
-    seed: Optional[int] = None,
-    bound: Iterable[Variable] = (),
-) -> list[int]:
-    """Order the conjuncts for joining, most-bound-first.
-
-    Starting from the *seed* conjunct (the delta atom in semi-naive
-    variants, iterated first so every enumerated binding touches the
-    delta), repeatedly pick the conjunct whose arguments have the most
-    positions fully determined by the variables bound so far, breaking
-    ties toward the smaller candidate row window (the per-round
-    selectivity bound) and then toward the leftmost conjunct.  Returns
-    the conjunct indexes in join order.
-    """
-    remaining = list(range(len(conjuncts)))
-    bound_vars: set[Variable] = set(bound)
-    order: list[int] = []
-
-    def admit(index: int) -> None:
-        order.append(index)
-        remaining.remove(index)
-        bound_vars.update(conjuncts[index].variables())
-
-    if seed is not None:
-        admit(seed)
-
-    def score(index: int) -> tuple[int, int, int]:
-        atom = conjuncts[index]
-        bound_positions = sum(
-            1
-            for arg in atom.args
-            if all(variable in bound_vars for variable in term_variables(arg))
-        )
-        lo, hi = windows[index]
-        return (bound_positions, lo - hi, -index)
-
-    while remaining:
-        admit(max(remaining, key=score))
-    return order
-
-
-def join_bindings(
-    conjuncts: Sequence[Atom],
-    windows: Sequence[Window],
-    store: RelationStore,
-    seed: Optional[int] = None,
-    binding: Optional[Mapping[Variable, Term]] = None,
-) -> Iterator[Substitution]:
-    """Enumerate every binding satisfying all conjuncts within their windows.
-
-    Each conjunct ``i`` ranges over the rows ``windows[i] = (lo, hi)`` of
-    its relation.  The join order is chosen greedily (seeded on the delta
-    conjunct when given); each step extracts the conjunct's binding
-    pattern under the bindings accumulated so far, probes the matching
-    hash index, and matches the remaining argument positions to extend the
-    binding.  Yielded substitutions are independent dicts.
-
-    *store* need not be a :class:`RelationStore`: any object whose
-    ``relation(predicate, arity)`` returns ``None`` or a relation view with
-    a :meth:`Relation.candidate_rows`-shaped probe works — this is how the
-    grounder joins a live :class:`repro.storage.FactStore` EDB and its
-    per-run overlay of derived atoms through one enumerator.
-    """
-    order = greedy_join_order(conjuncts, windows, seed, binding.keys() if binding else ())
-    count = len(order)
-    initial: Substitution = dict(binding) if binding else {}
-
-    def extend(step: int, current: Substitution) -> Iterator[Substitution]:
-        if step == count:
-            yield current
-            return
-        index = order[step]
-        pattern = conjuncts[index]
-        lo, hi = windows[index]
-        if hi <= lo:
-            return
-        relation = store.relation(pattern.predicate, pattern.arity)
-        if relation is None:
-            return
-        positions, args = binding_pattern(pattern, current)
-        key = tuple(args[p] for p in positions)
-        if len(positions) == pattern.arity:
-            # Fully bound probe: a membership test, no new bindings.
-            for _ in relation.candidate_rows(positions, key, lo, hi):
-                yield from extend(step + 1, current)
-            return
-        free = tuple(p for p in range(pattern.arity) if p not in positions)
-        for _, row in relation.candidate_rows(positions, key, lo, hi):
-            extended = match_projected(args, row, free, current)
-            if extended is not None:
-                yield from extend(step + 1, extended)
-
-    yield from extend(0, initial)

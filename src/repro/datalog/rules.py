@@ -127,6 +127,7 @@ class Program:
         for rule in self._rules:
             by_head.setdefault(rule.head.predicate, []).append(rule)
         self._by_head = {name: tuple(rs) for name, rs in by_head.items()}
+        self._is_ground: bool | None = None
 
     # ------------------------------------------------------------------ #
     # Basic container behaviour
@@ -218,7 +219,11 @@ class Program:
     # ------------------------------------------------------------------ #
     @property
     def is_ground(self) -> bool:
-        return all(rule.is_ground for rule in self._rules)
+        # Computed once: the solve path asks on every call, and programs
+        # are immutable.
+        if self._is_ground is None:
+            self._is_ground = all(rule.is_ground for rule in self._rules)
+        return self._is_ground
 
     @property
     def is_definite(self) -> bool:

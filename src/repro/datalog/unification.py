@@ -6,19 +6,14 @@ Grounding and top-down query answering need two related operations:
   atom, producing a variable binding; and
 * full *unification* of two terms or atoms, the symmetric operation.
 
-The hash-join grounder adds a third: *binding-pattern extraction*
-(:func:`binding_pattern`), which splits an atom's argument positions under a
-partial substitution into the ground ones — usable as an index key — and
-the open ones, matched per candidate with :func:`match_projected`.
-
-All are provided here as pure functions on immutable terms.  A substitution
+Both are provided here as pure functions on immutable terms.  A substitution
 is represented as a plain ``dict`` mapping :class:`Variable` to
 :class:`Term`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, MutableMapping, Optional, Sequence
+from typing import Mapping, MutableMapping, Optional
 
 from .atoms import Atom
 from .terms import Compound, Constant, Term, Variable, substitute_term
@@ -30,8 +25,6 @@ __all__ = [
     "unify_terms",
     "compose",
     "apply_substitution",
-    "binding_pattern",
-    "match_projected",
 ]
 
 Substitution = dict[Variable, Term]
@@ -112,50 +105,6 @@ def match_atom(
 
 
 # --------------------------------------------------------------------- #
-# Binding-pattern extraction (hash-join support)
-# --------------------------------------------------------------------- #
-def binding_pattern(
-    pattern: Atom,
-    binding: Optional[Mapping[Variable, Term]] = None,
-) -> tuple[tuple[int, ...], tuple[Term, ...]]:
-    """Extract the *binding pattern* of an atom under a substitution.
-
-    Substitutes *binding* into the atom's arguments and returns
-    ``(positions, args)`` where ``args`` are the substituted argument terms
-    and ``positions`` are the argument indexes that came out fully ground.
-    A hash-join probe (see :mod:`repro.datalog.joins`) uses the bound
-    positions as the index key and matches only the remaining positions
-    against candidate facts.
-    """
-    if binding:
-        args = tuple(substitute_term(arg, binding) for arg in pattern.args)
-    else:
-        args = pattern.args
-    positions = tuple(i for i, arg in enumerate(args) if arg.is_ground)
-    return positions, args
-
-
-def match_projected(
-    pattern_args: Sequence[Term],
-    ground_args: Sequence[Term],
-    positions: Sequence[int],
-    binding: Optional[Mapping[Variable, Term]] = None,
-) -> Optional[Substitution]:
-    """Match *pattern_args* against *ground_args* at the given positions only.
-
-    The complement of an index probe: the probe guarantees equality on the
-    bound positions, and this binds the remaining ones (threading repeated
-    variables and partially ground compound terms through the shared
-    binding).  Returns the extended substitution, or ``None`` on mismatch.
-    """
-    current: Substitution = dict(binding or {})
-    for position in positions:
-        if not _match_term_into(pattern_args[position], ground_args[position], current):
-            return None
-    return current
-
-
-# --------------------------------------------------------------------- #
 # Full unification
 # --------------------------------------------------------------------- #
 def unify_terms(
@@ -170,8 +119,23 @@ def unify_terms(
     """
     current: Substitution = dict(binding or {})
     if _unify_into(left, right, current):
-        return current
+        return _resolved(current)
     return None
+
+
+def _resolved(binding: Substitution) -> Substitution:
+    """The idempotent form of a triangular substitution: every bound
+    variable maps to a term with all bound variables substituted, so one
+    application of the result unifies (``X ↦ Y, Y ↦ a`` becomes
+    ``X ↦ a, Y ↦ a``).  Occurs-checked bindings are acyclic, so this ends."""
+
+    def resolve(term: Term) -> Term:
+        term = _walk(term, binding)
+        if isinstance(term, Compound):
+            return Compound(term.functor, tuple(resolve(arg) for arg in term.args))
+        return term
+
+    return {variable: resolve(term) for variable, term in binding.items()}
 
 
 def _walk(term: Term, binding: Substitution) -> Term:
@@ -225,4 +189,4 @@ def unify_atoms(
     for left_arg, right_arg in zip(left.args, right.args):
         if not _unify_into(left_arg, right_arg, current):
             return None
-    return current
+    return _resolved(current)

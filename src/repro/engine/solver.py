@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
-from ..analysis.classification import classify
+from ..analysis.classification import recommend_semantics
 from ..config import (
     DEFAULT_ENGINE,
     DEFAULT_SEMANTICS,
@@ -50,6 +50,8 @@ from ..core.alternating import alternating_fixpoint
 from ..core.context import build_context
 from ..core.stable import stable_consequences
 from ..core.wellfounded import well_founded_model
+from ..kernel.eval import solve_compiled
+from ..kernel.ground import ground_compiled
 from ..semantics.fitting import fitting_model
 from ..semantics.horn import horn_minimum_model
 from ..semantics.inflationary import inflationary_model
@@ -66,6 +68,10 @@ __all__ = [
     "DEFAULT_ENGINE",
     "EngineConfig",
 ]
+
+
+#: The semantics the compiled kernel evaluates (the well-founded family).
+_WELL_FOUNDED = ("alternating-fixpoint", "well-founded")
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,7 @@ def _ground_atom(predicate: str, values: Iterable[object]) -> Atom:
 def resolve_auto_semantics(program: Program) -> str:
     """The concrete semantics ``"auto"`` picks for *program*: the cheapest
     one agreeing with the well-founded model for its syntactic class."""
-    return classify(program, check_local=False).recommended_semantics
+    return recommend_semantics(program)
 
 
 def solve_configured(
@@ -186,10 +192,19 @@ def solve_configured(
     ``program`` includes the facts as fact rules, exactly as the
     historical ``database.attach`` path produced.
 
+    The well-founded family under the ``modular`` and ``kernel`` engines
+    with the default ``relevant`` grounder runs the compiled path: the
+    program is grounded straight into the kernel IR
+    (:func:`~repro.kernel.ground.ground_compiled`), evaluated, and each
+    atom built once at assemble; no ground rule objects exist and the
+    solution carries no context.  Every other combination (``monolithic``,
+    the ``relevant-scan``/``naive`` oracle grounders, other semantics)
+    builds a :class:`~repro.core.context.GroundContext` first.
+
     *recorder* (see :mod:`repro.obs`) instruments the whole call as one
-    ``solve`` span whose children are the pipeline phases (``ground``,
-    then ``condense``/``component``/``assemble`` under the modular engine
-    or a single ``evaluate`` span otherwise); the default
+    ``solve`` span whose children are the pipeline phases (``classify``
+    under ``auto``; ``ground``, ``compile``, ``evaluate``, ``assemble`` on
+    the compiled path; ``ground`` and ``evaluate`` otherwise); the default
     :class:`~repro.obs.NullRecorder` records nothing at near-zero cost.
     """
     if isinstance(program, str):
@@ -241,21 +256,46 @@ def _solve_with_store(
         limits = config.limits
         strategy = config.strategy
         engine = config.engine
-        if store is not None and (
-            program.is_ground or config.resolved_grounder != "relevant"
+        grounder = config.resolved_grounder
+        if (
+            semantics in _WELL_FOUNDED
+            and engine != "monolithic"
+            and grounder == "relevant"
         ):
+            # The production path: ground straight into the kernel IR,
+            # evaluate it, and build each atom once at assemble.  No ground
+            # rule objects and no GroundContext exist on this path.
+            compiled = ground_compiled(program, store=store, limits=limits, recorder=recorder)
+            interpretation, _, _, _ = solve_compiled(compiled, recorder)
+            if store is not None:
+                # The solution's program records the EDB as fact rules.
+                program = Program.union(store.as_program(), program)
+            base = frozenset(compiled.table.atoms)
+            solution = Solution(
+                program=program,
+                semantics=semantics,
+                interpretation=interpretation,
+                base=base,
+                strategy=strategy,
+                engine=engine,
+                config=config,
+            )
+            if recorder.enabled:
+                solve_span.annotate(
+                    semantics=semantics, atoms=len(base), rules=compiled.n_rules
+                )
+            return solution
+
+        if store is not None and (program.is_ground or grounder != "relevant"):
             # The naive/scan grounders and the ground-program passthrough need
-            # the facts materialised as fact rules up front.  Everything else
-            # leaves the facts in the store: the streaming grounder probes its
-            # live indexes and emits the fact rules into the context in one
-            # pass — no second enumeration of the EDB.
+            # the facts materialised as fact rules up front; the int grounder
+            # interns the store's facts itself.
             program = Program.union(store.as_program(), program)
             store = None
-        probes_before = store.probes if store is not None else 0
         context = build_context(
             program,
             limits=limits,
-            grounder=config.resolved_grounder,
+            grounder=grounder,
             store=store,
             recorder=recorder,
         )
@@ -265,10 +305,8 @@ def _solve_with_store(
             # stratified evaluator below, stable-model re-solves, explainers)
             # see the full program.
             program = context.program
-            if recorder.enabled:
-                recorder.count("store.candidate_probes", store.probes - probes_before)
 
-        if semantics in ("alternating-fixpoint", "well-founded"):
+        if semantics in _WELL_FOUNDED:
             if semantics == "alternating-fixpoint":
                 interpretation = alternating_fixpoint(
                     context, strategy=strategy, engine=engine, recorder=recorder

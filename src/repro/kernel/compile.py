@@ -1,4 +1,4 @@
-"""Lower a :class:`~repro.core.context.GroundContext` to the flat int IR.
+"""The flat int IR of a ground program, and lowering a context to it.
 
 The compiled form replaces every object-level structure the well-founded
 hot loop touches with a contiguous ``array('i')``:
@@ -11,6 +11,12 @@ hot loop touches with a contiguous ``array('i')``:
 * the SCC condensation of the atom dependency graph is computed directly
   over the int adjacency (iterative Tarjan, callees-first emission) and
   stored as ``comp_of`` plus the CSR partition ``comp_off``/``comp_atoms``.
+
+Rule CSR lists come from :func:`compile_context` (a
+:class:`~repro.core.context.GroundContext`'s objects, interned through a
+predicate-grouped :class:`~repro.kernel.intern.AtomTable`) or straight from
+the int grounder (:mod:`repro.kernel.ground`); :func:`link_program` derives
+the head index, the self-loop flags and the condensation for both.
 
 Compilation is cached on the (frozen) context via :func:`get_kernel` — the
 same idiom as :func:`repro.evaluation.indexes.get_index` — so a session
@@ -31,7 +37,7 @@ from .intern import AtomTable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.context import GroundContext
 
-__all__ = ["CompiledProgram", "compile_context", "get_kernel"]
+__all__ = ["CompiledProgram", "compile_context", "get_kernel", "link_program"]
 
 _KERNEL_ATTRIBUTE = "_compiled_kernel"
 
@@ -138,57 +144,70 @@ def compile_context(
     meter = current_meter()
     table = AtomTable.from_atoms(context.base)
     ids = table.ids
+    meter.check("compile")
+
+    heads: List[int] = []
+    pos_off: List[int] = [0]
+    pos_atoms: List[int] = []
+    neg_off: List[int] = [0]
+    neg_atoms: List[int] = []
+    for rule in context.rules:
+        heads.append(ids[rule.head])
+        if rule.positive_body:
+            pos_atoms.extend(sorted({ids[atom] for atom in rule.positive_body}))
+        pos_off.append(len(pos_atoms))
+        if rule.negative_body:
+            neg_atoms.extend(sorted({ids[atom] for atom in rule.negative_body}))
+        neg_off.append(len(neg_atoms))
+    meter.check("compile")
+    return link_program(
+        table,
+        heads,
+        pos_off,
+        pos_atoms,
+        neg_off,
+        neg_atoms,
+        sorted(ids[atom] for atom in context.facts),
+        recorder=recorder,
+    )
+
+
+def link_program(
+    table: AtomTable,
+    heads: List[int],
+    pos_off: List[int],
+    pos_atoms: List[int],
+    neg_off: List[int],
+    neg_atoms: List[int],
+    fact_ids: List[int],
+    recorder: Recorder = NULL_RECORDER,
+) -> CompiledProgram:
+    """Finish a :class:`CompiledProgram` from its rule CSR lists.
+
+    The one place the head index, the ``self_dep`` flags and the
+    condensation are derived — shared by :func:`compile_context` and the
+    int grounder (:func:`repro.kernel.ground.ground_compiled`).  Body
+    segments must already be sorted and deduplicated.
+    """
+    meter = current_meter()
     n_atoms = len(table)
-    meter.check("compile")
-
-    rules = context.rules
-    n_rules = len(rules)
-    heads_list: List[int] = []
-    pos_off_list: List[int] = [0]
-    pos_list: List[int] = []
-    neg_off_list: List[int] = [0]
-    neg_list: List[int] = []
-    self_dep = bytearray(n_atoms)
-    for rule in rules:
-        head_id = ids[rule.head]
-        heads_list.append(head_id)
-        positive = rule.positive_body
-        if positive:
-            distinct = {ids[atom] for atom in positive}
-            if head_id in distinct:
-                self_dep[head_id] = 1
-            pos_list.extend(sorted(distinct))
-        pos_off_list.append(len(pos_list))
-        negative = rule.negative_body
-        if negative:
-            distinct = {ids[atom] for atom in negative}
-            if head_id in distinct:
-                self_dep[head_id] = 1
-            neg_list.extend(sorted(distinct))
-        neg_off_list.append(len(neg_list))
-    meter.check("compile")
-
+    n_rules = len(heads)
     # Head index as CSR via a counting pass.
     head_counts = [0] * (n_atoms + 1)
-    for head_id in heads_list:
+    for head_id in heads:
         head_counts[head_id + 1] += 1
     for i in range(1, n_atoms + 1):
         head_counts[i] += head_counts[i - 1]
     head_off = array("i", head_counts)
     head_rules_list = [0] * n_rules
-    cursor = list(head_off[:-1])
-    for rule_id, head_id in enumerate(heads_list):
+    cursor = head_counts[:-1]
+    for rule_id, head_id in enumerate(heads):
         head_rules_list[cursor[head_id]] = rule_id
         cursor[head_id] += 1
     meter.check("compile")
 
-    comp_of, comp_off_list, comp_atoms_list = _condense(
-        n_atoms,
-        heads_list,
-        pos_off_list,
-        pos_list,
-        neg_off_list,
-        neg_list,
+    comp_of, comp_off_list, comp_atoms_list, self_dep = _condense(
+        n_atoms, head_counts, head_rules_list, pos_off, pos_atoms, neg_off, neg_atoms
     )
     meter.check("compile")
 
@@ -196,19 +215,19 @@ def compile_context(
         table=table,
         n_atoms=n_atoms,
         n_rules=n_rules,
-        heads=array("i", heads_list),
-        pos_off=array("i", pos_off_list),
-        pos_atoms=array("i", pos_list),
-        neg_off=array("i", neg_off_list),
-        neg_atoms=array("i", neg_list),
+        heads=array("i", heads),
+        pos_off=array("i", pos_off),
+        pos_atoms=array("i", pos_atoms),
+        neg_off=array("i", neg_off),
+        neg_atoms=array("i", neg_atoms),
         head_off=head_off,
         head_rules=array("i", head_rules_list),
-        fact_ids=array("i", sorted(ids[atom] for atom in context.facts)),
+        fact_ids=array("i", fact_ids),
         n_components=len(comp_off_list) - 1,
         comp_of=array("i", comp_of),
         comp_off=array("i", comp_off_list),
         comp_atoms=array("i", comp_atoms_list),
-        self_dep=bytes(self_dep),
+        self_dep=self_dep,
     )
     if recorder.enabled:
         recorder.count("kernel.atoms", compiled.n_atoms)
@@ -237,35 +256,49 @@ def get_kernel(
 # --------------------------------------------------------------------- #
 def _condense(
     n_atoms: int,
-    heads: List[int],
+    head_off: List[int],
+    head_rules: List[int],
     pos_off: List[int],
     pos_atoms: List[int],
     neg_off: List[int],
     neg_atoms: List[int],
-) -> Tuple[List[int], List[int], List[int]]:
+) -> Tuple[List[int], List[int], List[int], bytes]:
     """SCC-condense the atom dependency graph, callees first.
 
     Builds the head → body adjacency (both polarities, deduplicated) as a
     CSR over ints and runs an iterative Tarjan.  Tarjan emits a component
     only after every component reachable from it, so the emission order is
     already the callees-first topological order the evaluator consumes.
-    Returns ``(comp_of, comp_off, comp_atoms)``.
+    Returns ``(comp_of, comp_off, comp_atoms, self_dep)``, where
+    ``self_dep[a]`` flags an atom with a self-loop (it occurs in the body
+    of one of its own rules).
     """
+    # Budget checkpoints: one tick per atom in each pass keeps a deadline
+    # responsive across large condensations.
+    tick = current_meter().tick
     # Dependency adjacency: one sorted, deduplicated successor list per
     # atom (head depends on each body atom of each of its rules).
-    succ_sets: List[set] = [None] * n_atoms  # type: ignore[list-item]
-    for rule_id, head_id in enumerate(heads):
-        bucket = succ_sets[head_id]
-        if bucket is None:
-            bucket = succ_sets[head_id] = set()
-        bucket.update(pos_atoms[pos_off[rule_id] : pos_off[rule_id + 1]])
-        bucket.update(neg_atoms[neg_off[rule_id] : neg_off[rule_id + 1]])
     adj_off = [0] * (n_atoms + 1)
     adj: List[int] = []
+    self_dep = bytearray(n_atoms)
     for atom_id in range(n_atoms):
-        bucket = succ_sets[atom_id]
-        if bucket:
-            adj.extend(sorted(bucket))
+        tick("compile", 1024)
+        first = head_off[atom_id]
+        last = head_off[atom_id + 1]
+        if first == last:
+            adj_off[atom_id + 1] = len(adj)
+            continue
+        successors = set()
+        for slot in range(first, last):
+            rule = head_rules[slot]
+            successors.update(pos_atoms[pos_off[rule] : pos_off[rule + 1]])
+            successors.update(neg_atoms[neg_off[rule] : neg_off[rule + 1]])
+        if atom_id in successors:
+            self_dep[atom_id] = 1
+        if len(successors) == 1:
+            adj.extend(successors)
+        else:
+            adj.extend(sorted(successors))
         adj_off[atom_id + 1] = len(adj)
 
     comp_of = [-1] * n_atoms
@@ -274,41 +307,49 @@ def _condense(
     index_of = [-1] * n_atoms
     lowlink = [0] * n_atoms
     on_stack = bytearray(n_atoms)
+    cursor = adj_off[:-1]  # next successor position to explore, per atom
     scc_stack: List[int] = []
+    path: List[int] = []  # the DFS call stack
     counter = 0
 
     for root in range(n_atoms):
         if index_of[root] != -1:
             continue
-        # (node, next successor position) — an explicit DFS frame stack.
-        work: List[List[int]] = [[root, adj_off[root]]]
         index_of[root] = lowlink[root] = counter
         counter += 1
         scc_stack.append(root)
         on_stack[root] = 1
-        while work:
-            frame = work[-1]
-            node = frame[0]
-            position = frame[1]
-            if position < adj_off[node + 1]:
-                frame[1] = position + 1
+        path.append(root)
+        while path:
+            node = path[-1]
+            position = cursor[node]
+            end = adj_off[node + 1]
+            descended = False
+            while position < end:
                 successor = adj[position]
+                position += 1
                 if index_of[successor] == -1:
+                    cursor[node] = position
                     index_of[successor] = lowlink[successor] = counter
                     counter += 1
                     scc_stack.append(successor)
                     on_stack[successor] = 1
-                    work.append([successor, adj_off[successor]])
-                elif on_stack[successor]:
-                    if index_of[successor] < lowlink[node]:
-                        lowlink[node] = index_of[successor]
+                    path.append(successor)
+                    descended = True
+                    break
+                if on_stack[successor] and index_of[successor] < lowlink[node]:
+                    lowlink[node] = index_of[successor]
+            if descended:
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
-            if lowlink[node] == index_of[node]:
+            cursor[node] = end
+            path.pop()
+            tick("compile", 1024)
+            low = lowlink[node]
+            if path:
+                parent = path[-1]
+                if low < lowlink[parent]:
+                    lowlink[parent] = low
+            if low == index_of[node]:
                 comp_index = len(comp_off) - 1
                 while True:
                     member = scc_stack.pop()
@@ -318,4 +359,4 @@ def _condense(
                     if member == node:
                         break
                 comp_off.append(len(comp_atoms))
-    return comp_of, comp_off, comp_atoms
+    return comp_of, comp_off, comp_atoms, bytes(self_dep)

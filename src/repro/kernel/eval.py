@@ -44,13 +44,14 @@ __all__ = [
     "KernelResult",
     "ComponentKernel",
     "evaluate_compiled",
+    "solve_compiled",
     "kernel_well_founded",
     "kernel_model",
 ]
 
 _UNKNOWN, _TRUE, _FALSE = 0, 1, 2
 _MAX_STAGES = 10_000_000
-#: Budget checkpoints are batched: one meter step per this many components
+#: Budget checkpoints are batched: one meter call per this many components
 #: keeps deadline enforcement responsive without a call in the hot loop.
 _METER_STRIDE = 128
 
@@ -136,9 +137,12 @@ def evaluate_compiled(
     decrements = 0
     meter = current_meter()
 
-    for comp_index in range(compiled.n_components):
+    n_components = compiled.n_components
+    for comp_index in range(n_components):
         if not comp_index % _METER_STRIDE:
-            meter.step("component")
+            # One step per component, as the object engine counts them,
+            # charged a batch at a time.
+            meter.step("component", min(_METER_STRIDE, n_components - comp_index))
         start = comp_off[comp_index]
         end = comp_off[comp_index + 1]
 
@@ -482,36 +486,7 @@ def kernel_well_founded(
         if recorder.enabled:
             compile_span.annotate(**compiled.statistics())
 
-        tracing = recorder.enabled
-        with recorder.span("evaluate", method="kernel") as evaluate_span:
-            truth, method_counts, stages, decrements = evaluate_compiled(
-                compiled, tracing=tracing
-            )
-
-        with recorder.span("assemble") as assemble_span:
-            atoms = compiled.table.atoms
-            true_atoms: Set[Atom] = set()
-            false_atoms: Set[Atom] = set()
-            for atom_id, value in enumerate(truth):
-                if value == 1:
-                    true_atoms.add(atoms[atom_id])
-                elif value:
-                    false_atoms.add(atoms[atom_id])
-            model = PartialInterpretation(true_atoms, false_atoms)
-
-    methods = {
-        name: count for name, count in zip(_METHODS, method_counts) if count
-    }
-    if tracing:
-        evaluate_span.annotate(
-            components=compiled.n_components, stages=stages, **methods
-        )
-        assemble_span.annotate(true=len(true_atoms), false=len(false_atoms))
-        recorder.count("kernel.decrements", decrements)
-        recorder.count("kernel.stages", stages)
-        recorder.count("components.total", compiled.n_components)
-        for name, count in methods.items():
-            recorder.count(f"components.{name}", count)
+        model, methods, stages, decrements = solve_compiled(compiled, recorder)
     return KernelResult(
         context=context,
         model=model,
@@ -520,6 +495,39 @@ def kernel_well_founded(
         stages=stages,
         decrements=decrements,
     )
+
+
+def solve_compiled(
+    compiled: CompiledProgram, recorder: Recorder = NULL_RECORDER
+) -> Tuple[PartialInterpretation, Dict[str, int], int, int]:
+    """Evaluate *compiled* and assemble its well-founded partial model.
+
+    Returns ``(model, methods, stages, decrements)``.  A tracing *recorder*
+    captures an ``evaluate`` span with the aggregate method split, the
+    ``kernel.decrements`` / ``kernel.stages`` / ``components.*`` counters,
+    and an ``assemble`` span around the decode, which builds each atom of
+    the table exactly once.
+    """
+    tracing = recorder.enabled
+    with recorder.span("evaluate", method="kernel") as evaluate_span:
+        truth, method_counts, stages, decrements = evaluate_compiled(compiled, tracing=tracing)
+
+    with recorder.span("assemble") as assemble_span:
+        atoms = compiled.table.atoms
+        true_atoms = frozenset([atoms[atom_id] for atom_id, value in enumerate(truth) if value == 1])
+        false_atoms = frozenset([atoms[atom_id] for atom_id, value in enumerate(truth) if value == 2])
+        model = PartialInterpretation(true_atoms, false_atoms)
+
+    methods = {name: count for name, count in zip(_METHODS, method_counts) if count}
+    if tracing:
+        evaluate_span.annotate(components=compiled.n_components, stages=stages, **methods)
+        assemble_span.annotate(true=len(true_atoms), false=len(false_atoms))
+        recorder.count("kernel.decrements", decrements)
+        recorder.count("kernel.stages", stages)
+        recorder.count("components.total", compiled.n_components)
+        for name, count in methods.items():
+            recorder.count(f"components.{name}", count)
+    return model, methods, stages, decrements
 
 
 def kernel_model(program: Program | GroundContext, **kwargs) -> PartialInterpretation:

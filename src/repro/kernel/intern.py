@@ -3,19 +3,29 @@
 Every hot structure of the compiled kernel — rule bodies, watch lists,
 truth vectors — is indexed by a dense integer atom id.  :class:`AtomTable`
 owns the two-way mapping: ``atoms[i]`` is the :class:`~repro.datalog.atoms.Atom`
-with id ``i`` and ``ids[atom]`` its id.  Ids are assigned grouped by
-predicate (and sorted within a predicate by textual form), so every
-predicate owns one contiguous ``[lo, hi)`` id range — the property the
-per-predicate truth-vector slices and the planned persisted intern tables
-(ROADMAP, bulk-scale storage) rely on.
+with id ``i`` and ``ids[atom]`` its id.
+
+Tables come three ways:
+
+* :meth:`AtomTable.from_atoms` — ids grouped by predicate (sorted within a
+  predicate by textual form), so every predicate owns one contiguous
+  ``[lo, hi)`` id range; :func:`repro.kernel.compile.compile_context`
+  builds these from a ground context's base;
+* :meth:`AtomTable.from_interned` — an id order some producer already
+  fixed (the int grounder's derivation order for ground programs);
+* :meth:`AtomTable.lazy` — the int grounder's table for non-ground
+  programs, whose atoms are decoded from term ids only when first asked
+  for, so a one-shot solve builds each ``Atom`` exactly once, at assemble.
 
 The table is append-only: :meth:`intern` never re-numbers, so ids handed
-out to a compiled program stay valid for the table's lifetime.
+out to a compiled program stay valid for the table's lifetime.  Predicate
+ranges of the last two kinds follow :meth:`intern`'s rule (a range grows
+only while the predicate's ids stay adjacent).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..datalog.atoms import Atom
 
@@ -23,16 +33,18 @@ __all__ = ["AtomTable"]
 
 
 class AtomTable:
-    """Two-way dense id↔atom map with contiguous per-predicate id ranges."""
+    """Two-way dense id↔atom map with per-predicate id ranges."""
 
-    __slots__ = ("atoms", "ids", "_ranges")
+    __slots__ = ("_atoms", "_ids", "_ranges", "_decode", "_size")
 
     def __init__(self) -> None:
-        self.atoms: List[Atom] = []
-        self.ids: Dict[Atom, int] = {}
-        # predicate -> (lo, hi) over ids; maintained only for the grouped
-        # bulk load, best-effort extended by later intern() calls.
-        self._ranges: Dict[str, Tuple[int, int]] = {}
+        self._atoms: Optional[List[Atom]] = []
+        self._ids: Optional[Dict[Atom, int]] = {}
+        # predicate -> (lo, hi) over ids; exact for the grouped bulk load,
+        # best-effort extended by later intern() calls.
+        self._ranges: Optional[Dict[str, Tuple[int, int]]] = {}
+        self._decode: Optional[Callable[[], List[Atom]]] = None
+        self._size = 0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -46,38 +58,72 @@ class AtomTable:
         yields the contiguous per-predicate ranges.
         """
         table = cls()
-        atoms = table.atoms
-        ids = table.ids
-        ranges = table._ranges
+        atoms = table._atoms
+        ids = table._ids
         for atom in sorted(universe, key=_atom_key):
             if atom in ids:
                 continue
             ids[atom] = len(atoms)
             atoms.append(atom)
-        for index, atom in enumerate(atoms):
-            predicate = atom.predicate
-            if predicate not in ranges:
-                ranges[predicate] = (index, index + 1)
-            else:
-                start, _ = ranges[predicate]
-                ranges[predicate] = (start, index + 1)
+        table._ranges = None
         return table
+
+    @classmethod
+    def from_interned(cls, atoms: List[Atom], ids: Dict[Atom, int]) -> "AtomTable":
+        """Wrap an id order fixed elsewhere: ``ids[atoms[i]] == i``."""
+        table = cls()
+        table._atoms = atoms
+        table._ids = ids
+        table._ranges = None
+        return table
+
+    @classmethod
+    def lazy(cls, size: int, decode: Callable[[], List[Atom]]) -> "AtomTable":
+        """A table of *size* atoms whose objects *decode* builds on first use."""
+        table = cls()
+        table._atoms = None
+        table._ids = None
+        table._ranges = None
+        table._decode = decode
+        table._size = size
+        return table
+
+    @property
+    def atoms(self) -> List[Atom]:
+        atoms = self._atoms
+        if atoms is None:
+            atoms = self._atoms = self._decode()
+            self._decode = None
+        return atoms
+
+    @property
+    def ids(self) -> Dict[Atom, int]:
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = {atom: index for index, atom in enumerate(self.atoms)}
+        return ids
+
+    def _predicate_ranges(self) -> Dict[str, Tuple[int, int]]:
+        ranges = self._ranges
+        if ranges is None:
+            ranges = self._ranges = {}
+            for index, atom in enumerate(self.atoms):
+                _extend_range(ranges, atom.predicate, index)
+        return ranges
 
     def intern(self, atom: Atom) -> int:
         """Id of *atom*, assigning the next dense id on first sight."""
-        existing = self.ids.get(atom)
+        ids = self.ids
+        existing = ids.get(atom)
         if existing is not None:
             return existing
-        new_id = len(self.atoms)
-        self.ids[atom] = new_id
-        self.atoms.append(atom)
+        atoms = self.atoms
+        new_id = len(atoms)
+        ids[atom] = new_id
+        atoms.append(atom)
         # A late intern lands outside its predicate's contiguous block; the
         # range is widened only when the new id extends it directly.
-        span = self._ranges.get(atom.predicate)
-        if span is None:
-            self._ranges[atom.predicate] = (new_id, new_id + 1)
-        elif span[1] == new_id:
-            self._ranges[atom.predicate] = (span[0], new_id + 1)
+        _extend_range(self._predicate_ranges(), atom.predicate, new_id)
         return new_id
 
     # ------------------------------------------------------------------ #
@@ -92,10 +138,10 @@ class AtomTable:
 
     def predicate_range(self, predicate: str) -> Optional[Tuple[int, int]]:
         """The ``[lo, hi)`` id range of *predicate*, or ``None``."""
-        return self._ranges.get(predicate)
+        return self._predicate_ranges().get(predicate)
 
     def predicate_ranges(self) -> Dict[str, Tuple[int, int]]:
-        return dict(self._ranges)
+        return dict(self._predicate_ranges())
 
     def decode(self, atom_ids: Iterable[int]) -> List[Atom]:
         atoms = self.atoms
@@ -105,7 +151,7 @@ class AtomTable:
     # Introspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self._size if self._atoms is None else len(self._atoms)
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.ids
@@ -120,6 +166,14 @@ class AtomTable:
         import sys
 
         return sys.getsizeof(self.atoms) + sys.getsizeof(self.ids)
+
+
+def _extend_range(ranges: Dict[str, Tuple[int, int]], predicate: str, index: int) -> None:
+    span = ranges.get(predicate)
+    if span is None:
+        ranges[predicate] = (index, index + 1)
+    elif span[1] == index:
+        ranges[predicate] = (span[0], index + 1)
 
 
 def _atom_key(atom: Atom) -> Tuple[str, int, Tuple[str, ...]]:

@@ -6,7 +6,8 @@ One telemetry vocabulary for the whole pipeline: hierarchical timed
 exportable as JSONL traces or human-readable span-tree tables.
 
 Entry points accept ``recorder=`` throughout the stack —
-``solve_configured``, ``build_context`` / ``stream_relevant_ground``,
+``solve_configured``, ``ground_compiled``, ``build_context`` /
+``stream_relevant_ground``,
 ``modular_well_founded``, ``IncrementalEngine``, ``KnowledgeBase`` — and
 the CLI surfaces the subsystem as ``repro profile`` and ``--trace-out``.
 """

@@ -154,7 +154,7 @@ class NullMeter:
     def tick(self, phase: str, stride: int = 64) -> None:
         pass
 
-    def step(self, phase: str) -> None:
+    def step(self, phase: str, count: int = 1) -> None:
         pass
 
 
@@ -231,9 +231,10 @@ class BudgetMeter:
             self._pulse = 0
             self.check(phase)
 
-    def step(self, phase: str) -> None:
-        """Count one fixpoint step and consult every limit."""
-        self.steps += 1
+    def step(self, phase: str, count: int = 1) -> None:
+        """Count *count* fixpoint steps (a batched loop charges its whole
+        batch up front) and consult every limit."""
+        self.steps += count
         limit = self.budget.max_steps
         if limit is not None and self.steps > limit:
             raise BudgetExceeded(

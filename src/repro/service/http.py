@@ -101,6 +101,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # hang until every pooled client hung up.  On timeout,
     # ``handle_one_request`` treats the connection as closed.
     timeout = 5
+    # A response goes out as two small writes (headers, then body).  With
+    # Nagle's algorithm on, the body waits for the client's delayed ACK of
+    # the headers — ~40 ms on every keep-alive request.  TCP_NODELAY sends
+    # both segments at once.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     # Response plumbing

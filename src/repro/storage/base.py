@@ -17,9 +17,9 @@ three now share:
   ``p/1`` and ``p/2`` cannot collide);
 * **grounding support** — :meth:`candidate_rows` bound-position index
   probes with ``[lo, hi)`` sequence windows, matching the access pattern
-  of :class:`repro.datalog.joins.Relation`, so the semi-naive grounder
-  probes the live store instead of copying it into a fresh
-  ``RelationStore`` per run;
+  of :class:`repro.datalog.joins.Relation`; the grounder reads each
+  relation once per run through one window-scan probe and interns it
+  (:mod:`repro.kernel.ground`);
 * **transactions** — :meth:`savepoint` / :meth:`rollback_to` /
   :meth:`release`, the substrate of ``KnowledgeBase.batch()``.
 

@@ -5,9 +5,8 @@ repo used to maintain separately: the plain per-relation tuple sets of the
 old ``Database`` and the lazily hash-indexed
 :class:`~repro.datalog.joins.Relation` machinery the grounder rebuilt from
 scratch on every run.  Facts live in one set of ``Relation`` objects,
-keyed on ``(predicate, arity)``; the bound-position indexes built by one
-grounding run survive into the next, so the semi-naive grounder probes the
-live EDB instead of re-inserting and re-indexing every fact per solve.
+keyed on ``(predicate, arity)``, with lazily built bound-position indexes
+that persist across probes.
 
 Removal tombstones the row (keeping outstanding sequence numbers valid —
 see :meth:`Relation.remove`) and compacts a relation once tombstones
@@ -105,8 +104,8 @@ class MemoryStore(FactStore):
     # ------------------------------------------------------------------ #
     def relation(self, predicate: str, arity: int) -> Optional[Relation]:
         """The live :class:`Relation` of one signature (``None`` when the
-        signature has never been stored) — the zero-copy view grounding
-        probes go through."""
+        signature has never been stored) — the zero-copy view probes go
+        through."""
         return self._relations.relation(predicate, arity)
 
     def sequence_bound(self, predicate: str, arity: int) -> int:

@@ -1,7 +1,16 @@
 """Unit tests for program classification."""
 
-from repro.analysis.classification import classify
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from repro.analysis.classification import classify, recommend_semantics
 from repro.datalog.parser import parse_program
+from repro.engine.solver import resolve_auto_semantics
+from repro.workloads import (
+    random_negative_loop_program,
+    random_nonground_program,
+    random_propositional_program,
+)
 
 
 class TestClassification:
@@ -49,3 +58,42 @@ class TestClassification:
         classification = classify(parse_program("p :- not q."))
         assert classification.is_ground
         assert classification.is_propositional
+
+
+class TestRecommendSemanticsFastPath:
+    """``recommend_semantics`` (the ``auto`` resolver) reads only the
+    definite and stratified flags; it must agree with the full
+    classification on every program."""
+
+    @given(
+        program=st.one_of(
+            st.builds(
+                random_propositional_program,
+                atoms=st.integers(1, 8),
+                rules=st.integers(0, 12),
+                seed=st.integers(0, 10_000),
+                negation_probability=st.sampled_from([0.0, 0.2, 0.5]),
+            ),
+            st.builds(
+                random_nonground_program,
+                constants=st.integers(1, 3),
+                facts=st.integers(0, 6),
+                rules=st.integers(0, 6),
+                seed=st.integers(0, 10_000),
+                negation_probability=st.sampled_from([0.0, 0.25, 0.6]),
+            ),
+            st.builds(
+                random_negative_loop_program,
+                pairs=st.integers(0, 4),
+                seed=st.integers(0, 10_000),
+            ),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_classify(self, program):
+        assert recommend_semantics(program) == classify(program).recommended_semantics
+
+    def test_solver_resolves_auto_through_the_fast_path(self, ntc_program, win_move_4b):
+        assert resolve_auto_semantics(parse_program("p :- q. q.")) == "horn"
+        assert resolve_auto_semantics(ntc_program) == "stratified"
+        assert resolve_auto_semantics(win_move_4b) == "alternating-fixpoint"

@@ -1,11 +1,8 @@
-"""Unit tests for the hash-join relations behind the indexed grounder."""
-
-import pytest
+"""Unit tests for the hash-indexed relations behind the in-memory fact store."""
 
 from repro.datalog.atoms import atom
-from repro.datalog.joins import Relation, RelationStore, greedy_join_order, join_bindings
-from repro.datalog.terms import Constant, Variable
-from repro.datalog.unification import binding_pattern, match_projected
+from repro.datalog.joins import Relation, RelationStore
+from repro.datalog.terms import Constant
 
 
 def ground(predicate, *values):
@@ -76,102 +73,3 @@ class TestRelationStore:
         store.add_atom(ground("e", 2, 3))
         assert snapshot == {("e", 2): 1}
         assert store.sizes() == {("e", 2): 2}
-
-
-class TestBindingPattern:
-    def test_splits_ground_and_open_positions(self):
-        pattern = atom("e", "X", 1, "Y")
-        positions, args = binding_pattern(pattern, {Variable("X"): Constant(7)})
-        assert positions == (0, 1)
-        assert args[0] == Constant(7)
-        assert args[2] == Variable("Y")
-
-    def test_no_binding_means_only_constants_bound(self):
-        positions, args = binding_pattern(atom("e", "X", 1))
-        assert positions == (1,)
-        assert args == atom("e", "X", 1).args
-
-    def test_match_projected_binds_open_positions(self):
-        pattern = atom("e", "X", "X")
-        row = (Constant(1), Constant(1))
-        assert match_projected(pattern.args, row, (0, 1)) == {Variable("X"): Constant(1)}
-        mismatch = (Constant(1), Constant(2))
-        assert match_projected(pattern.args, mismatch, (0, 1)) is None
-
-
-class TestGreedyJoinOrder:
-    def test_seed_comes_first_then_most_bound(self):
-        # sg(P, Q) shares both variables with the two parent conjuncts.
-        conjuncts = [atom("parent", "P", "X"), atom("parent", "Q", "Y"), atom("sg", "P", "Q")]
-        windows = [(0, 1), (0, 1), (0, 1)]
-        order = greedy_join_order(conjuncts, windows, seed=2)
-        # After the sg delta binds P and Q, both parent conjuncts have one
-        # bound position; the leftmost wins the tie.
-        assert order == [2, 0, 1]
-
-    def test_smaller_window_breaks_ties(self):
-        conjuncts = [atom("big", "X"), atom("small", "Y")]
-        windows = [(0, 5), (0, 1)]
-        assert greedy_join_order(conjuncts, windows) == [1, 0]
-
-    def test_already_bound_variables_count(self):
-        conjuncts = [atom("e", "X", "Y"), atom("e", "Y", "Z")]
-        windows = [(0, 4), (0, 4)]
-        assert greedy_join_order(conjuncts, windows, bound=[Variable("X")]) == [0, 1]
-        assert greedy_join_order(conjuncts, windows, bound=[Variable("Z")]) == [1, 0]
-
-
-class TestJoinBindings:
-    def _store(self, atoms):
-        store = RelationStore()
-        for item in atoms:
-            store.add_atom(item)
-        return store
-
-    def test_two_way_join(self):
-        store = self._store(
-            [ground("e", 1, 2), ground("e", 2, 3), ground("tc", 2, 3), ground("tc", 3, 3)]
-        )
-        conjuncts = [atom("e", "X", "Z"), atom("tc", "Z", "Y")]
-        windows = [(0, 2), (0, 2)]
-        bindings = list(join_bindings(conjuncts, windows, store))
-        expected = {
-            (Constant(1), Constant(2), Constant(3)),  # e(1,2), tc(2,3)
-            (Constant(2), Constant(3), Constant(3)),  # e(2,3), tc(3,3)
-        }
-        found = {
-            (b[Variable("X")], b[Variable("Z")], b[Variable("Y")]) for b in bindings
-        }
-        assert found == expected
-
-    def test_delta_window_restricts_enumeration(self):
-        store = self._store([ground("e", 1, 2), ground("e", 2, 3)])
-        conjuncts = [atom("e", "X", "Y")]
-        assert len(list(join_bindings(conjuncts, [(0, 2)], store))) == 2
-        assert len(list(join_bindings(conjuncts, [(1, 2)], store, seed=0))) == 1
-        assert list(join_bindings(conjuncts, [(2, 2)], store)) == []
-
-    def test_repeated_variables_filtered(self):
-        store = self._store([ground("e", 1, 1), ground("e", 1, 2)])
-        bindings = list(join_bindings([atom("e", "X", "X")], [(0, 2)], store))
-        assert bindings == [{Variable("X"): Constant(1)}]
-
-    def test_constants_probe_the_index(self):
-        store = self._store([ground("e", 1, 2), ground("e", 2, 2), ground("e", 2, 3)])
-        bindings = list(join_bindings([atom("e", 2, "Y")], [(0, 3)], store))
-        assert {b[Variable("Y")] for b in bindings} == {Constant(2), Constant(3)}
-
-    def test_missing_relation_yields_nothing(self):
-        store = self._store([ground("e", 1, 2)])
-        assert list(join_bindings([atom("missing", "X")], [(0, 1)], store)) == []
-        # Same predicate name, different arity: keyed apart.
-        assert list(join_bindings([atom("e", "X")], [(0, 1)], store)) == []
-
-    def test_initial_binding_is_respected_and_not_mutated(self):
-        store = self._store([ground("e", 1, 2), ground("e", 2, 3)])
-        initial = {Variable("X"): Constant(2)}
-        bindings = list(
-            join_bindings([atom("e", "X", "Y")], [(0, 2)], store, binding=initial)
-        )
-        assert bindings == [{Variable("X"): Constant(2), Variable("Y"): Constant(3)}]
-        assert initial == {Variable("X"): Constant(2)}

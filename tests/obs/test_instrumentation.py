@@ -52,13 +52,40 @@ class TestNullRecorderIsInvisible:
 
 
 class TestSolvePhaseTree:
-    def test_modular_solve_phases_and_counters(self):
+    @pytest.mark.parametrize("engine", ["modular", "kernel"])
+    @pytest.mark.parametrize(
+        "program",
+        [layered_program(2, 5), parse_program(WIN_MOVE)],
+        ids=["ground", "non-ground"],
+    )
+    def test_modular_solve_phases_and_counters(self, engine, program):
+        # The well-founded solve grounds straight into the kernel IR under
+        # both component engines: ground -> compile -> evaluate -> assemble.
         recorder = TraceRecorder()
-        program = layered_program(2, 5)
-        solve(program, config=EngineConfig(semantics="well-founded"), recorder=recorder)
+        solve(program, config=EngineConfig(semantics="well-founded", engine=engine), recorder=recorder)
 
         root = recorder.find("solve")
         assert root is not None
+        assert [span.name for span in root.children] == [
+            "ground",
+            "compile",
+            "evaluate",
+            "assemble",
+        ]
+
+        totals = recorder.counter_totals()
+        assert totals["ground.rules"] > 0
+        assert totals["ground.atoms"] == totals["kernel.atoms"]
+        assert totals["components.total"] > 0
+        # Every counter in the vocabulary is a non-negative tally.
+        assert all(value >= 0 for value in totals.values())
+
+    def test_object_modular_engine_phases_and_counters(self):
+        recorder = TraceRecorder()
+        with recorder.span("solve"):
+            modular_well_founded(layered_program(2, 5), recorder=recorder)
+
+        root = recorder.find("solve")
         children = [span.name for span in root.children]
         for phase in ("ground", "condense", "components", "assemble"):
             assert phase in children
@@ -69,8 +96,6 @@ class TestSolvePhaseTree:
         totals = recorder.counter_totals()
         assert totals["ground.rules"] > 0
         assert totals["components.total"] == len(components.children)
-        # Every counter in the vocabulary is a non-negative tally.
-        assert all(value >= 0 for value in totals.values())
 
     def test_auto_semantics_records_classification(self):
         recorder = TraceRecorder()

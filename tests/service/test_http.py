@@ -287,6 +287,26 @@ class TestIdleKeepAliveDrain:
             kb.close()
 
 
+class TestNoDelay:
+    def test_accepted_connections_disable_nagle(self, server, monkeypatch):
+        """Regression: headers and body are two small writes, so with
+        Nagle's algorithm on every keep-alive response stalled on the
+        client's delayed ACK.  The accepted socket must carry TCP_NODELAY."""
+        seen = []
+        setup = ServiceRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(ServiceRequestHandler, "setup", recording_setup)
+        status, _, _, _ = _request(server.base, "/healthz")
+        assert status == 200
+        assert seen and all(flag != 0 for flag in seen)
+
+
 @pytest.mark.faultinject
 class TestFaultAcceptance:
     def test_readers_serve_pinned_epoch_byte_identical_through_writer_fault(self):

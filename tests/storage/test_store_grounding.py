@@ -55,16 +55,16 @@ class TestGroundingEquivalence:
         assert len(store) == len(EDGES) + len(NODES)
         assert store.signatures() == {("edge", 2), ("node", 1)}
 
-    def test_repeated_runs_reuse_live_indexes(self):
+    def test_repeated_runs_read_the_live_store(self):
         backend = MemoryStore()
         backend.load({"edge": EDGES, "node": NODES})
-        first = set(stream_relevant_ground(RULES, store=backend))
-        indexed = backend.relation("edge", 2).indexes
-        assert indexed, "grounding should have built bound-position indexes"
-        # The second run probes the same Relation objects (same indexes
-        # dict identity) and produces the same rules.
-        second = set(stream_relevant_ground(RULES, store=backend))
-        assert backend.relation("edge", 2).indexes is indexed
+        first = list(stream_relevant_ground(RULES, store=backend))
+        probes = backend.stats()["probes"]
+        # One window-scan probe per stored relation, on every run, and the
+        # same rules in the same order each time.
+        assert probes == len(backend.signatures())
+        second = list(stream_relevant_ground(RULES, store=backend))
+        assert backend.stats()["probes"] == 2 * probes
         assert first == second
 
     def test_grounding_sees_store_updates_between_runs(self):
@@ -105,9 +105,8 @@ class TestSolveEquivalence:
         oracle = solve(LEGACY)
         assert solution.interpretation.true_atoms == oracle.interpretation.true_atoms
         assert solution.base == oracle.base
-        # The grounder probed the database's live store: its relations now
-        # carry the bound-position indexes the join built.
-        assert database.store.relation("edge", 2).indexes
+        # The grounder read the database's live store through its probes.
+        assert database.store.stats()["probes"] > 0
 
     def test_database_and_store_together_rejected(self):
         from repro.exceptions import EvaluationError
