@@ -1,18 +1,18 @@
 """Experiment E16 — incremental model maintenance versus from-scratch solving.
 
 A deductive database is updated far more often than its rule set changes.
-The :class:`repro.session.KnowledgeBase` keeps the component-wise
-well-founded solution warm: an ``assert_fact``/``retract_fact`` invalidates
-only the SCC components of the atom dependency graph reachable (in the
-dependent direction) from the changed atoms, re-solves just those with
-:func:`repro.core.modular.solve_component`, and reuses the frozen verdicts
-of everything else.
+The :class:`repro.session.KnowledgeBase` keeps the well-founded solution
+warm as the truth vector of the rules' compiled IR: an
+``assert_fact``/``retract_fact`` is pushed through that vector by
+:class:`repro.delta.DeltaMaintainer`, which touches only the SCC
+components whose verdicts the change can reach and reuses the frozen
+verdicts of everything else.
 
 On the ``layered_program`` workload a single fact asserted into the top
 layer touches one layer's negation chain out of ``layers`` — the affected
 region is a constant fraction of one layer while a from-scratch modular
 solve pays for the whole program, so update latency is sublinear in
-program size.  The acceptance criterion of the ISSUE: at 12 layers × 200,
+program size.  The acceptance criterion: at 12 layers × 200,
 the incremental refresh re-evaluates only the affected components
 (asserted on the :class:`~repro.session.UpdateStats` component counters)
 and is ≥5× faster than a from-scratch modular solve, with models

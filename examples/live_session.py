@@ -59,8 +59,8 @@ def main() -> None:
     print(kb.explain("wins(c)").render())
 
     # ------------------------------------------------------------------ #
-    # 5. Ground programs get incremental maintenance: only components
-    #    downstream of the change are re-solved.
+    # 5. Ground programs get incremental maintenance: a change is pushed
+    #    through the solved model only as far as verdicts actually move.
     # ------------------------------------------------------------------ #
     tower = KnowledgeBase(
         layered_program(8, 40), config=EngineConfig(semantics="well-founded")

@@ -21,8 +21,8 @@ For a long-lived, updatable database use a :class:`KnowledgeBase` — facts
 are asserted and retracted against a live session and the solved model
 stays warm across updates.  On *ground* rule sets (propositional or
 pre-grounded programs) under the well-founded defaults, maintenance is
-incremental: only the dependency-graph components downstream of a change
-are re-solved.  Non-ground rules, as below, transparently re-solve in
+incremental: a change is pushed through the solved model only as far as
+verdicts actually move.  Non-ground rules, as below, transparently re-solve in
 full with identical results:
 
 >>> from repro import KnowledgeBase

@@ -233,7 +233,11 @@ def build_dependency_graph(program: Program, idb_only: bool = False) -> Dependen
     """
     graph = DependencyGraph()
     edb = program.edb_predicates() if idb_only else set()
+    # Classifying a large program is one unbroken pass over its rules, so
+    # it checkpoints the ambient budget as it goes.
+    tick = current_meter().tick
     for rule in program:
+        tick("classify", 256)
         head = rule.head.predicate
         graph.add_node(head)
         occurrences: dict[str, ArcPolarity] = {}

@@ -11,9 +11,9 @@ validated (or not) at a different layer with a different error message.
 every evaluation choice, validated *once* at construction with error
 messages that consistently list the accepted values.  It is accepted by
 :class:`repro.session.KnowledgeBase`, :func:`repro.engine.solver.solve`,
-and every ``core``/``semantics`` entry point; the old keyword arguments
-keep working through :func:`resolve_config`, the deprecation shim the
-public entry points funnel legacy calls through.
+and every ``core``/``semantics`` entry point; :func:`resolve_config`
+merges the ``semantics=``/``limits=`` conveniences of the public entry
+points into it.
 
 This module is the canonical home of the option tuples.  The historical
 locations (``repro.evaluation.engine``, ``repro.core.modular``,
@@ -23,7 +23,6 @@ locations (``repro.evaluation.engine``, ``repro.core.modular``,
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,8 +50,6 @@ __all__ = [
     "DEFAULT_STORE",
     "REFRESH_MODES",
     "DEFAULT_REFRESH",
-    "MAINTENANCE_MODES",
-    "DEFAULT_MAINTENANCE",
     "validate_semantics",
     "validate_strategy",
     "validate_engine",
@@ -60,7 +57,6 @@ __all__ = [
     "validate_matcher",
     "validate_store",
     "validate_refresh",
-    "validate_maintenance",
     "EngineConfig",
     "resolve_config",
     "merge_entry_config",
@@ -106,13 +102,6 @@ DEFAULT_GROUNDER = "relevant"
 #: maintenance pass before refreshing.
 REFRESH_MODES = ("eager", "coalesce")
 DEFAULT_REFRESH = "eager"
-
-#: Incremental-maintenance granularity for ground sessions: ``"delta"``
-#: maintains per-component derivation state at atom level (counting /
-#: delete-and-rederive — :mod:`repro.delta`); ``"component"`` re-solves
-#: every component upstream of a change wholesale.
-MAINTENANCE_MODES = ("delta", "component")
-DEFAULT_MAINTENANCE = "delta"
 
 
 def _unknown(kind: str, value: object, accepted: Sequence[str]) -> str:
@@ -176,15 +165,6 @@ def validate_refresh(refresh: str) -> str:
     return refresh
 
 
-def validate_maintenance(maintenance: str) -> str:
-    """Return *maintenance* if it is known, raising otherwise."""
-    if maintenance not in MAINTENANCE_MODES:
-        raise EvaluationError(
-            _unknown("maintenance mode", maintenance, MAINTENANCE_MODES)
-        )
-    return maintenance
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Every evaluation choice, validated together at construction.
@@ -224,11 +204,6 @@ class EngineConfig:
         Refresh scheduling under write traffic, one of
         :data:`REFRESH_MODES`.  ``"coalesce"`` lets the query service's
         writer drain a window of queued writes into one refresh.
-    maintenance:
-        Incremental-maintenance granularity, one of
-        :data:`MAINTENANCE_MODES`: atom-level ``"delta"`` (default) or
-        whole-``"component"`` re-solve.  Only consulted by the
-        incremental session path (ground rules, well-founded family).
     """
 
     semantics: str = DEFAULT_SEMANTICS
@@ -240,7 +215,6 @@ class EngineConfig:
     limits: Optional[GroundingLimits] = None
     budget: Optional[Budget] = None
     refresh: str = DEFAULT_REFRESH
-    maintenance: str = DEFAULT_MAINTENANCE
 
     def __post_init__(self) -> None:
         validate_semantics(self.semantics)
@@ -249,7 +223,6 @@ class EngineConfig:
         validate_grounder(self.grounder)
         validate_store(self.store)
         validate_refresh(self.refresh)
-        validate_maintenance(self.maintenance)
         if self.matcher is not None:
             validate_matcher(self.matcher)
             if self.grounder != "relevant":
@@ -295,7 +268,6 @@ class EngineConfig:
             "limits": self.limits,
             "budget": self.budget.describe() if self.budget is not None else None,
             "refresh": self.refresh,
-            "maintenance": self.maintenance,
         }
 
 
@@ -360,59 +332,20 @@ def resolve_config(
     config: Optional[EngineConfig] = None,
     *,
     semantics: Optional[str] = None,
-    strategy: Optional[str] = None,
-    engine: Optional[str] = None,
-    grounder: Optional[str] = None,
-    matcher: Optional[str] = None,
     limits: Optional[GroundingLimits] = None,
-    default_semantics: str = DEFAULT_SEMANTICS,
-    default_engine: str = DEFAULT_ENGINE,
-    warn: bool = False,
-    caller: str = "solve",
 ) -> EngineConfig:
-    """Merge a ``config=`` argument with the legacy per-field keywords.
+    """The :class:`EngineConfig` a public entry point runs under.
 
-    When *config* is given, the legacy evaluation keywords
-    (``strategy``/``engine``/``grounder``/``matcher``) must not also be
-    passed — mixing the two spellings is rejected rather than silently
-    resolved.  ``semantics``/``limits`` remain first-class conveniences and
-    override the corresponding config fields.
-
-    When *config* is ``None``, an :class:`EngineConfig` is assembled from
-    the keywords (unset ones fall back to the caller's defaults); with
-    ``warn=True`` explicit legacy keywords additionally emit a
-    :class:`DeprecationWarning` naming the replacement.
+    ``semantics`` and ``limits`` are first-class conveniences on
+    :func:`~repro.engine.solver.solve` and
+    :class:`~repro.session.KnowledgeBase`: they override the corresponding
+    fields of *config*, or of the default config when none is given.
+    Every other choice travels inside the config.
     """
-    legacy = {
-        "strategy": strategy,
-        "engine": engine,
-        "grounder": grounder,
-        "matcher": matcher,
-    }
-    passed = sorted(name for name, value in legacy.items() if value is not None)
-    if config is not None:
-        if passed:
-            raise EvaluationError(
-                f"{caller}() got both config= and the legacy "
-                f"{'/'.join(passed)} keyword(s); pass one or the other"
-            )
-        if semantics is not None:
-            config = config.replace(semantics=validate_semantics(semantics))
-        if limits is not None:
-            config = config.replace(limits=limits)
-        return config
-    if warn and passed:
-        warnings.warn(
-            f"the {'/'.join(passed)} keyword argument(s) of {caller}() are "
-            f"deprecated; pass config=EngineConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return EngineConfig(
-        semantics=semantics if semantics is not None else default_semantics,
-        strategy=strategy if strategy is not None else DEFAULT_STRATEGY,
-        engine=engine if engine is not None else default_engine,
-        grounder=grounder if grounder is not None else DEFAULT_GROUNDER,
-        matcher=matcher,
-        limits=limits,
-    )
+    if config is None:
+        config = EngineConfig()
+    if semantics is not None:
+        config = config.replace(semantics=validate_semantics(semantics))
+    if limits is not None:
+        config = config.replace(limits=limits)
+    return config

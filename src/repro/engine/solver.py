@@ -27,7 +27,6 @@ from typing import Iterable, Mapping, Optional, Union
 from ..analysis.classification import recommend_semantics
 from ..config import (
     DEFAULT_ENGINE,
-    DEFAULT_SEMANTICS,
     DEFAULT_STRATEGY,
     EVALUATION_ENGINES,
     EVALUATION_STRATEGIES,
@@ -359,12 +358,8 @@ def solve(
     semantics: Optional[str] = None,
     database: Optional[Database] = None,
     limits: GroundingLimits | None = None,
-    strategy: Optional[str] = None,
-    engine: Optional[str] = None,
     *,
     store: Optional[FactStore] = None,
-    grounder: Optional[str] = None,
-    matcher: Optional[str] = None,
     config: Optional[EngineConfig] = None,
     recorder: Optional[Recorder] = None,
 ) -> Solution:
@@ -393,29 +388,13 @@ def solve(
     config:
         An :class:`EngineConfig` carrying every evaluation choice
         (semantics / strategy / engine / grounder / matcher / limits),
-        validated at construction.  This is the preferred spelling.
-    strategy, engine, grounder, matcher:
-        Deprecated per-field spellings of the config (see
-        :class:`EngineConfig` for their meaning); they keep working but
-        emit a :class:`DeprecationWarning` and cannot be combined with
-        ``config=``.
+        validated at construction.
 
     For repeated queries and evolving fact bases, prefer a stateful
     :class:`repro.session.KnowledgeBase` — it keeps the solved model warm
     and maintains it incrementally instead of re-solving from scratch.
     """
-    resolved = resolve_config(
-        config,
-        semantics=semantics,
-        strategy=strategy,
-        engine=engine,
-        grounder=grounder,
-        matcher=matcher,
-        limits=limits,
-        default_semantics=DEFAULT_SEMANTICS,
-        warn=True,
-        caller="solve",
-    )
+    resolved = resolve_config(config, semantics=semantics, limits=limits)
     return solve_configured(
         program, resolved, database=database, store=store, recorder=recorder
     )

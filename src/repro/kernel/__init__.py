@@ -10,9 +10,12 @@ well-founded model with counter propagation over them
   instances emitted as CSR ids, atoms decoded only at assemble.  This is
   the one-shot well-founded solve (:func:`~repro.engine.solver.solve`
   with ``engine="modular"`` or ``"kernel"``): ground → compile → evaluate
-  → assemble, with no :class:`~repro.core.context.GroundContext`;
+  → assemble, with no :class:`~repro.core.context.GroundContext`.
+  Incremental sessions ground their rules the same way once and keep the
+  result as a :class:`~repro.kernel.eval.ComponentKernel` (the compiled
+  rules plus one truth and one fact vector);
 * :func:`~repro.kernel.compile.compile_context` lowers an existing
-  :class:`~repro.core.context.GroundContext` (sessions and explicit
+  :class:`~repro.core.context.GroundContext` (explicit
   ``kernel_well_founded`` calls).
 
 The object-level engines (``modular`` via
@@ -24,6 +27,7 @@ from .compile import CompiledProgram, compile_context, get_kernel
 from .eval import (
     ComponentKernel,
     KernelResult,
+    decode_model,
     evaluate_compiled,
     kernel_model,
     kernel_well_founded,
@@ -37,6 +41,7 @@ __all__ = [
     "get_kernel",
     "ComponentKernel",
     "KernelResult",
+    "decode_model",
     "evaluate_compiled",
     "kernel_model",
     "kernel_well_founded",

@@ -19,6 +19,12 @@ callees-first order with the same cheapest-sound-method dispatch as
   Unfounded atoms fall out as the complement of the final envelope, via
   the same counter decrements.
 
+:func:`evaluate_compiled` solves a whole program in one pass.
+:class:`ComponentKernel` keeps the truth and fact vectors of one compiled
+program alive across updates: it is the single solved state of an
+incremental session, which :class:`~repro.delta.DeltaMaintainer` updates
+in place and which re-solves one component at a time on request.
+
 The object-level modular engine stays the differential oracle: the
 Hypothesis suite asserts byte-identical models across ``kernel``,
 ``modular`` and ``monolithic`` for every semantics family.
@@ -27,6 +33,7 @@ Hypothesis suite asserts byte-identical models across ``kernel``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..config import EngineConfig, merge_entry_config
@@ -43,6 +50,7 @@ from .compile import CompiledProgram, get_kernel
 __all__ = [
     "KernelResult",
     "ComponentKernel",
+    "decode_model",
     "evaluate_compiled",
     "solve_compiled",
     "kernel_well_founded",
@@ -56,6 +64,11 @@ _MAX_STAGES = 10_000_000
 _METER_STRIDE = 128
 
 _METHODS = ("horn", "stratified", "alternating")
+
+#: Translation tables turning a truth vector into a 0/1 mask of its true
+#: (resp. false) atoms, for :func:`itertools.compress`.
+_TRUE_MASK = bytes.maketrans(b"\x02", b"\x00")
+_FALSE_MASK = bytes.maketrans(b"\x01\x02", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -100,23 +113,27 @@ class KernelResult:
 # --------------------------------------------------------------------- #
 def evaluate_compiled(
     compiled: CompiledProgram,
-    fact_ids: Optional[Iterable[int]] = None,
+    is_fact: Optional[bytearray] = None,
     tracing: bool = False,
+    phase: str = "component",
 ) -> Tuple[bytearray, List[int], int, int]:
     """Evaluate every component of *compiled* bottom-up.
 
     Returns ``(truth, method_counts, stages, decrements)`` where *truth* is
     the dense truth vector and *method_counts* the per-method component
-    tallies in :data:`_METHODS` order.  *fact_ids* overrides the compiled
-    context's EDB (the incremental engine refreshes facts without
-    recompiling); ``decrements`` is only tallied when *tracing* is set, the
-    same contract as the object engine's ``dg.decrements``.
+    tallies in :data:`_METHODS` order.  *is_fact* is the EDB as a fact
+    vector over atom ids, overriding the compiled program's own facts (an
+    incremental session refreshes facts without recompiling);
+    ``decrements`` is only tallied when *tracing* is set, the same contract
+    as the object engine's ``dg.decrements``.  Component steps are charged
+    to the budget under *phase*.
     """
     n_atoms = compiled.n_atoms
     truth = bytearray(n_atoms)
-    is_fact = bytearray(n_atoms)
-    for atom_id in compiled.fact_ids if fact_ids is None else fact_ids:
-        is_fact[atom_id] = 1
+    if is_fact is None:
+        is_fact = bytearray(n_atoms)
+        for atom_id in compiled.fact_ids:
+            is_fact[atom_id] = 1
 
     (
         heads,
@@ -142,7 +159,7 @@ def evaluate_compiled(
         if not comp_index % _METER_STRIDE:
             # One step per component, as the object engine counts them,
             # charged a batch at a time.
-            meter.step("component", min(_METER_STRIDE, n_components - comp_index))
+            meter.step(phase, min(_METER_STRIDE, n_components - comp_index))
         start = comp_off[comp_index]
         end = comp_off[comp_index + 1]
 
@@ -513,15 +530,12 @@ def solve_compiled(
         truth, method_counts, stages, decrements = evaluate_compiled(compiled, tracing=tracing)
 
     with recorder.span("assemble") as assemble_span:
-        atoms = compiled.table.atoms
-        true_atoms = frozenset([atoms[atom_id] for atom_id, value in enumerate(truth) if value == 1])
-        false_atoms = frozenset([atoms[atom_id] for atom_id, value in enumerate(truth) if value == 2])
-        model = PartialInterpretation(true_atoms, false_atoms)
+        model = decode_model(compiled, truth)
 
     methods = {name: count for name, count in zip(_METHODS, method_counts) if count}
     if tracing:
         evaluate_span.annotate(components=compiled.n_components, stages=stages, **methods)
-        assemble_span.annotate(true=len(true_atoms), false=len(false_atoms))
+        assemble_span.annotate(true=len(model.true_atoms), false=len(model.false_atoms))
         recorder.count("kernel.decrements", decrements)
         recorder.count("kernel.stages", stages)
         recorder.count("components.total", compiled.n_components)
@@ -535,102 +549,74 @@ def kernel_model(program: Program | GroundContext, **kwargs) -> PartialInterpret
     return kernel_well_founded(program, **kwargs).model
 
 
+def decode_model(
+    compiled: CompiledProgram, truth: bytearray, extra_true: Iterable[Atom] = ()
+) -> PartialInterpretation:
+    """The partial model a truth vector encodes, as atom objects.
+
+    The truth codes are mapped to 0/1 masks and the atom table filtered by
+    them, so decoding never loops over ids in Python.  *extra_true* adds
+    atoms outside the compiled universe (a session's floating facts).
+    """
+    atoms = compiled.table.atoms
+    true_atoms = frozenset(compress(atoms, truth.translate(_TRUE_MASK)))
+    if extra_true:
+        true_atoms = true_atoms.union(extra_true)
+    false_atoms = frozenset(compress(atoms, truth.translate(_FALSE_MASK)))
+    return PartialInterpretation(true_atoms, false_atoms)
+
+
 # --------------------------------------------------------------------- #
-# Component-at-a-time state (incremental maintenance)
+# Long-lived solved state (incremental sessions)
 # --------------------------------------------------------------------- #
 class ComponentKernel:
-    """Long-lived kernel state for component-at-a-time evaluation.
+    """The solved state of one compiled ground program.
 
-    The :class:`~repro.session.incremental.IncrementalEngine` owns one of
-    these per session (compiled from the rule-only context) and keeps its
-    ``is_fact`` vector in sync with the EDB; each
-    :func:`repro.core.modular.solve_component` call then runs over the
-    persistent int truth vector instead of the object-level sets.  The
-    engine re-solves affected components in ascending condensation order,
-    so the truth entries a component reads (its own and lower components')
-    are always current even while higher components still hold stale codes.
+    A session's whole three-valued model is one ``truth`` vector over the
+    atom ids of ``compiled``, next to the ``is_fact`` vector of its EDB.
+    :meth:`solve_all` fills the truth vector from scratch with the batch
+    evaluator; :meth:`solve_component` re-solves one component against it
+    for :class:`~repro.delta.DeltaMaintainer`, which owns every later
+    write.  Both vectors keep their identity for the kernel's lifetime, so
+    the maintainer can hold them directly.
     """
 
-    __slots__ = ("compiled", "truth", "is_fact", "_ids")
+    __slots__ = ("compiled", "truth", "is_fact")
 
     def __init__(self, compiled: CompiledProgram):
         self.compiled = compiled
         self.truth = bytearray(compiled.n_atoms)
         self.is_fact = bytearray(compiled.n_atoms)
-        self._ids = compiled.table.ids
 
-    # ---- EDB synchronisation ----------------------------------------- #
-    def reset(self) -> None:
-        """Forget every verdict (a full re-solve is about to run)."""
-        self.truth = bytearray(self.compiled.n_atoms)
+    def solve_all(self, tracing: bool = False) -> Tuple[Dict[str, int], int, int]:
+        """Solve every component from the fact vector.
 
-    def set_facts(self, facts: Iterable[Atom]) -> None:
-        """Replace the fact vector wholesale (atoms outside the compiled
-        universe — floating facts — are ignored; the engine handles them)."""
-        vector = bytearray(self.compiled.n_atoms)
-        ids = self._ids
-        for atom in facts:
-            atom_id = ids.get(atom)
-            if atom_id is not None:
-                vector[atom_id] = 1
-        self.is_fact = vector
-
-    def update_fact(self, atom: Atom, present: bool) -> None:
-        atom_id = self._ids.get(atom)
-        if atom_id is not None:
-            self.is_fact[atom_id] = 1 if present else 0
-
-    def set_truth(self, atom: Atom, code: int) -> None:
-        """Write one verdict (``0`` unknown, ``1`` true, ``2`` false) into
-        the persistent truth vector.  Atom-level delta maintenance uses
-        this to keep the vector current for verdicts it derives outside
-        :meth:`solve_component`; atoms outside the compiled universe are
-        ignored."""
-        atom_id = self._ids.get(atom)
-        if atom_id is not None:
-            self.truth[atom_id] = code
-
-    # ---- Component solving ------------------------------------------- #
-    def solve_component(
-        self, component: Iterable[Atom], tracing: bool = False
-    ) -> Optional[Tuple[Set[Atom], Set[Atom], str, int, int, int]]:
-        """Solve one component over the persistent truth vector.
-
-        Returns ``(true, false, method, rules, stages, decrements)`` with
-        the atom sets decoded back to objects, or ``None`` when some
-        component atom is unknown to the compiled table (the caller falls
-        back to the object path).  The component's own truth entries are
-        reset first, so re-solving after an EDB change is self-contained.
+        Returns ``(methods, stages, decrements)`` as
+        :func:`evaluate_compiled` tallies them.  The component steps are
+        charged to the budget as ``"refresh"`` steps, the unit of a
+        session's refresh.
         """
-        ids = self._ids
-        members: List[int] = []
-        for atom in component:
-            atom_id = ids.get(atom)
-            if atom_id is None:
-                return None
-            members.append(atom_id)
-
-        truth = self.truth
-        for atom_id in members:
-            truth[atom_id] = 0
-
-        true_ids, false_ids, method, rule_count, stages, decrements = _solve_members(
-            self.compiled, truth, self.is_fact, members, tracing
+        truth, counts, stages, decrements = evaluate_compiled(
+            self.compiled, self.is_fact, tracing, "refresh"
         )
-        for atom_id in true_ids:
-            truth[atom_id] = 1
-        for atom_id in false_ids:
-            truth[atom_id] = 2
+        self.truth[:] = truth
+        methods = {name: count for name, count in zip(_METHODS, counts) if count}
+        return methods, stages, decrements
 
-        atoms = self.compiled.table.atoms
-        return (
-            {atoms[i] for i in true_ids},
-            {atoms[i] for i in false_ids},
-            method,
-            rule_count,
-            stages,
-            decrements,
-        )
+    def solve_component(
+        self, comp_index: int, tracing: bool = False
+    ) -> Tuple[Iterable[int], Iterable[int], str, int, int, int]:
+        """Solve component *comp_index* against the current truth vector.
+
+        A component's solve reads only the verdicts of lower components,
+        never its own, so the result does not depend on the stale entries
+        it replaces.  Returns ``(true_ids, false_ids, method, rules,
+        stages, decrements)`` and leaves the truth vector untouched.
+        """
+        compiled = self.compiled
+        comp_off = compiled.comp_off
+        members = compiled.hot()[8][comp_off[comp_index] : comp_off[comp_index + 1]]
+        return _solve_members(compiled, self.truth, self.is_fact, members, tracing)
 
 
 def _solve_members(
@@ -642,10 +628,10 @@ def _solve_members(
 ) -> Tuple[Iterable[int], Iterable[int], str, int, int, int]:
     """Solve one component (given as member ids) against *truth*.
 
-    Shared by :class:`ComponentKernel`; the batch evaluator inlines the
-    same logic (the singleton path especially) to keep its loop flat.
-    Returns ``(true_ids, false_ids, method, rules, stages, decrements)``
-    without writing the truth vector.
+    Used by :class:`ComponentKernel`; the batch evaluator inlines the same
+    logic (the singleton path especially) to keep its loop flat.  Returns
+    ``(true_ids, false_ids, method, rules, stages, decrements)`` without
+    writing the truth vector.
     """
     (
         heads,

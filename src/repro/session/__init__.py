@@ -6,8 +6,8 @@
 * :class:`SessionSnapshot` — an immutable, thread-safe view of one model
   epoch (solution + pinned store window), the read unit of
   :mod:`repro.service`;
-* :class:`IncrementalEngine` / :class:`UpdateStats` — the component-level
-  invalidation machinery behind incremental refreshes;
+* :class:`IncrementalEngine` / :class:`UpdateStats` — the compiled solved
+  state and atom-level maintenance behind incremental refreshes;
 * :func:`run_repl` — the interactive loop behind ``python -m repro repl``;
 * :class:`EngineConfig` — re-exported from :mod:`repro.config`, the one
   validated carrier of every evaluation choice.

@@ -1,52 +1,42 @@
-"""Incremental maintenance of the component-wise well-founded model.
+"""Incremental maintenance of a ground session's well-founded model.
 
-The component-wise evaluator of :mod:`repro.core.modular` already exploits
-the *relevance* of the well-founded semantics in space: an SCC of the atom
-dependency graph only ever reads the verdicts of the components below it.
-This module exploits the same structure in *time*: when the EDB changes,
-the only components whose verdict can move are those with a directed path
-to a changed atom — i.e. the components *upstream* of the change in the
-condensation DAG.  Everything else keeps its frozen verdict.
+The component-wise evaluator already exploits the *relevance* of the
+well-founded semantics in space: an SCC of the atom dependency graph only
+ever reads the verdicts of the components below it.  This module exploits
+the same structure in *time*: when the EDB changes, only verdicts with a
+dependency path to a changed fact can move, and only as far as they
+actually do move.
 
-:class:`IncrementalEngine` therefore caches, per knowledge base:
+:class:`IncrementalEngine` holds one solved state per session:
 
-* the decomposed ground rules, head index, SCC condensation order and the
-  component membership map — all functions of the *rules alone*, computed
-  once (the rule set of a session is fixed; only facts move);
-* a component-level reverse adjacency (``dependents``): which components
-  read each component's verdict;
-* the solved ``(true, false)`` pair and :class:`ComponentReport` of every
-  component.
+* the rules' :class:`~repro.kernel.CompiledProgram`, built once with
+  :func:`~repro.kernel.ground.ground_compiled` — atoms interned to dense
+  ids, rules as CSR segments, components condensed once (the rule set of
+  a session is fixed; only facts move);
+* one :class:`~repro.kernel.ComponentKernel`: a truth vector and a fact
+  vector over those ids, which *is* the model.
 
-On :meth:`refresh` with a set of changed fact atoms, the default
-``maintenance="delta"`` path hands the batch to a
-:class:`~repro.delta.DeltaMaintainer`, which updates per-component
-derivation state (counting for one-pass components, delete-and-rederive
-for recursive definite ones) at *atom* granularity and re-solves a
-component wholesale only where negation is recursive.  With
-``maintenance="component"`` the original coarser path runs instead: the
-affected components are the forward closure of the changed atoms'
-components under ``dependents``, re-solved bottom-up (ascending
-condensation index) with :func:`repro.core.modular.solve_component`,
-reading the frozen verdicts of untouched components from the shared
-aggregate sets.  Either way, facts
-whose atom occurs in no rule at all ("floating" facts) bypass the
-component machinery entirely: they are unconditionally true, nothing
-depends on them, and retracting one removes it from the base outright —
-exactly what a from-scratch solve of the updated program would produce,
-which is what the differential property suite asserts.
+The first :meth:`~IncrementalEngine.refresh` (and any refresh after a
+failure) solves every component with the batch kernel evaluator.  Later
+refreshes hand the changed fact ids to a
+:class:`~repro.delta.DeltaMaintainer`, which updates the truth vector in
+place at atom granularity: counting for one-pass components,
+delete-and-rederive for recursive definite ones, and a kernel re-solve of
+the component only where negation is recursive.  Facts whose atom occurs
+in no rule at all ("floating" facts) bypass the kernel entirely: they are
+unconditionally true, nothing depends on them, and retracting one removes
+it from the base outright — exactly what a from-scratch solve of the
+updated program would produce, which is what the differential property
+suite asserts.
+
+The model view is decoded from the truth vector once per epoch;
+:attr:`~IncrementalEngine.context` builds the object-level ground rules
+only when an explainer asks for them.
 
 Only *ground* rule sets are maintained this way: for non-ground rules a
 new fact can enlarge the relevant grounding itself, so the owning
 :class:`~repro.session.knowledge_base.KnowledgeBase` falls back to a full
 re-solve.
-
-With ``engine="kernel"`` the cached rule context is additionally compiled
-to the flat int IR of :mod:`repro.kernel` (once, at engine construction)
-and every per-component solve runs over a persistent
-:class:`~repro.kernel.ComponentKernel` truth vector instead of object
-sets; the dispatch, the affected-component closure and the returned
-reports are identical.
 """
 
 from __future__ import annotations
@@ -59,25 +49,14 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
 
-from ..analysis.dependency import build_atom_dependency_graph
-from ..config import (
-    DEFAULT_MAINTENANCE,
-    DEFAULT_STRATEGY,
-    validate_engine,
-    validate_maintenance,
-    validate_strategy,
-)
 from ..core.context import GroundContext, build_context
-from ..core.modular import (
-    ComponentReport,
-    ModularResult,
-    fresh_undef_atom,
-    solve_component,
-)
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program
 from ..delta import DeltaMaintainer
 from ..fixpoint.interpretations import PartialInterpretation
+from ..kernel import ComponentKernel
+from ..kernel.eval import decode_model
+from ..kernel.ground import ground_compiled
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import Budget, current_meter, metered
 
@@ -88,19 +67,17 @@ __all__ = ["UpdateStats", "IncrementalEngine"]
 class UpdateStats:
     """What one model refresh actually did.
 
-    ``mode`` is ``"initial"`` for the first solve, ``"delta"`` when
-    atom-level maintenance absorbed the update (per-component counters and
-    delete-and-rederive — the default), ``"incremental"`` when whole
-    components downstream of the changed facts were re-evaluated
-    (``maintenance="component"``), and ``"rebuild"`` when the owning
-    knowledge base had to re-solve from scratch (non-ground rules, or a
-    semantics outside the well-founded family).  ``components_total`` /
-    ``components_recomputed`` / ``components_reused`` quantify the reuse —
-    the acceptance benchmark asserts ``components_recomputed`` stays
-    proportional to the affected region, not to the program.  In
-    ``"delta"`` mode ``methods`` counts components by *maintenance*
-    method (``counting`` / ``dred`` / ``resolve``) rather than by solver
-    method.
+    ``mode`` is ``"initial"`` for a full solve of every component,
+    ``"delta"`` when atom-level maintenance absorbed the update, and
+    ``"rebuild"`` when the owning knowledge base had to re-solve from
+    scratch (non-ground rules, or a semantics outside the well-founded
+    family).  ``components_total`` / ``components_recomputed`` /
+    ``components_reused`` quantify the reuse — the acceptance benchmark
+    asserts ``components_recomputed`` stays proportional to the affected
+    region, not to the program.  ``methods`` counts components by solver
+    method (``horn`` / ``stratified`` / ``alternating``) for a full solve
+    and by *maintenance* method (``counting`` / ``dred`` / ``resolve``) in
+    ``"delta"`` mode.
 
     When a tracing :class:`~repro.obs.Recorder` is attached to the engine,
     the same quantities are emitted as the attributes and counters of the
@@ -132,107 +109,63 @@ class UpdateStats:
                 f"component state(s) maintained, {self.components_reused} "
                 f"untouched ({self.reuse_fraction:.0%})"
             )
-        if self.mode != "incremental":
-            if not self.components_total:
-                return f"{self.mode}: full re-solve of the program"
-            return f"{self.mode}: all {self.components_total} components solved"
-        return (
-            f"incremental: {self.changed} changed atom(s), "
-            f"{self.components_recomputed}/{self.components_total} components "
-            f"re-evaluated, {self.components_reused} reused "
-            f"({self.reuse_fraction:.0%})"
-        )
+        if not self.components_total:
+            return f"{self.mode}: full re-solve of the program"
+        return f"{self.mode}: all {self.components_total} components solved"
 
 
 class IncrementalEngine:
-    """Keeps the modular well-founded model warm across EDB updates.
+    """Keeps the well-founded model of a ground rule set warm across EDB
+    updates.
 
     Pass a :class:`~repro.storage.FactStore` (or call :meth:`observe`) and
     the engine subscribes to its change events: every mutation of the
     store — from the owning session, a batch rollback's inverse replay, or
     unrelated code holding the store — accumulates into the pending change
-    set that :meth:`refresh_pending` turns into component invalidation.
-    Without a store, callers hand the changed-atom set to :meth:`refresh`
-    themselves, as before.
+    set that :meth:`refresh_pending` hands to maintenance.  Without a
+    store, callers hand the changed-atom set to :meth:`refresh`
+    themselves.
     """
 
     def __init__(
         self,
         rules: Program,
-        strategy: str = DEFAULT_STRATEGY,
         store: "FactStore | None" = None,
         recorder: Recorder | None = None,
         budget: Budget | None = None,
-        engine: str = "modular",
-        maintenance: str = DEFAULT_MAINTENANCE,
     ):
         rules.require_ground()
-        validate_strategy(strategy)
-        validate_engine(engine)
-        validate_maintenance(maintenance)
-        self._strategy = strategy
-        self._engine_name = engine
-        self._maintenance = maintenance
+        self._rules = rules
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         # Started afresh by every refresh: the budget is a per-operation
         # deadline, so a long-lived session never "uses up" its allowance.
         self._budget = budget
-        # The rule-only context: decomposed rules, head index and the atom
-        # universe the rules span.  Facts are attached per refresh.
-        # Construction may run under an ambient budget meter (a session
-        # refresh constructing its engine), so each build stage ends with
-        # a checkpoint — a deadline elapsing mid-construction aborts here
-        # rather than after the whole condensation.
-        meter = current_meter()
-        self._rule_context = build_context(rules)
-        meter.check("refresh")
-        self._rule_atoms: frozenset[Atom] = self._rule_context.base
-        self._undef_atom = fresh_undef_atom(self._rule_atoms)
-
-        # With engine="kernel" the rule context is compiled to the flat
-        # int IR once; every per-component solve then runs over the
-        # persistent ComponentKernel state (truth + fact vectors, kept in
-        # sync below) instead of the object-level sets.
-        self._kernel = None
-        if engine == "kernel":
-            from ..kernel import ComponentKernel, get_kernel
-
-            self._kernel = ComponentKernel(get_kernel(self._rule_context, self._recorder))
-            meter.check("refresh")
-
-        graph = build_atom_dependency_graph(self._rule_context)
-        meter.check("refresh")
-        self._components: list[set[Atom]] = graph.condensation_order()
-        meter.check("refresh")
-        self._component_of: dict[Atom, int] = {}
-        for index, component in enumerate(self._components):
-            for atom in component:
-                self._component_of[atom] = index
-        # Component-level reverse adjacency: dependents[i] = the components
-        # that read component i's verdict (heads whose bodies reach into i).
-        self._dependents: list[set[int]] = [set() for _ in self._components]
-        for head, targets in graph.adjacency.items():
-            reader = self._component_of[head]
-            for target in targets:
-                owner = self._component_of[target]
-                if owner != reader:
-                    self._dependents[owner].add(reader)
+        # The rules' IR, built once: a ground program interns its atoms
+        # directly and condenses once.  Construction may run under an
+        # ambient budget meter (a session refresh constructing its
+        # engine); grounding and condensation checkpoint it as they go,
+        # and a last check follows the build.
+        compiled = ground_compiled(rules, recorder=self._recorder)
+        current_meter().check("refresh")
+        self._kernel = ComponentKernel(compiled)
+        self._ids = compiled.table.ids
+        self._rule_atoms: frozenset[Atom] = frozenset(compiled.table.atoms)
+        # The object-level rule context, built only if an explainer asks.
+        self._rule_context: Optional[GroundContext] = None
 
         # Mutable solved state, populated by the first refresh.
-        self._comp_true: list[set[Atom]] = [set() for _ in self._components]
-        self._comp_false: list[set[Atom]] = [set() for _ in self._components]
-        self._reports: list[Optional[ComponentReport]] = [None] * len(self._components)
-        self._true: set[Atom] = set()
-        self._false: set[Atom] = set()
         self._floating: set[Atom] = set()
         self._facts: frozenset[Atom] = frozenset()
         self._solved = False
         self._last: Optional[UpdateStats] = None
+        # Solver-method tallies of the last full solve (statistics()).
+        self._methods: dict[str, int] = {}
+        self._stages = 0
         # Atom-level maintenance state, built lazily after the first full
         # solve and discarded whenever the model is rebuilt from scratch.
         self._delta: Optional[DeltaMaintainer] = None
-        # The model property's per-epoch cache (the interpretation only
-        # moves on a successful refresh, which bumps the epoch).
+        # The model view's per-epoch cache (the model only moves on a
+        # successful refresh, which bumps the epoch).
         self._model_cache: Optional[tuple[int, PartialInterpretation]] = None
         # Monotone model-version counter: bumped once per *successful*
         # refresh, so two reads observing the same epoch are guaranteed to
@@ -287,9 +220,9 @@ class IncrementalEngine:
         """:meth:`refresh` driven by the observed store's change events.
 
         Before the first solve the refresh is full; afterwards only the
-        components upstream of the pending changes are re-evaluated.  The
-        pending set is drained only on success — a failed refresh leaves
-        it queued so the next call retries the same delta.
+        pending changes are maintained.  The pending set is drained only
+        on success — a failed refresh leaves it queued so the next call
+        retries the same delta.
         """
         changed = set(self.pending_changes) if self._solved else None
         stats = self.refresh(facts, changed)
@@ -300,46 +233,38 @@ class IncrementalEngine:
     # Views
     # ------------------------------------------------------------------ #
     @property
-    def strategy(self) -> str:
-        return self._strategy
-
-    @property
-    def engine(self) -> str:
-        """The per-component solver in use: ``"modular"`` (object sets) or
-        ``"kernel"`` (compiled flat-array state)."""
-        return self._engine_name
-
-    @property
-    def maintenance(self) -> str:
-        """The update-maintenance granularity: ``"delta"`` (atom-level
-        counters / DRed) or ``"component"`` (whole-component re-solve)."""
-        return self._maintenance
-
-    @property
     def model(self) -> PartialInterpretation:
-        """The current well-founded partial model (cached per epoch — the
-        interpretation only changes on a successful refresh)."""
+        """The current well-founded partial model (decoded once per
+        epoch — the truth vector only moves on a successful refresh)."""
         cache = self._model_cache
         if cache is not None and cache[0] == self._epoch:
             return cache[1]
-        model = PartialInterpretation(self._true | self._floating, self._false)
+        kernel = self._kernel
+        model = decode_model(kernel.compiled, kernel.truth, self._floating)
         self._model_cache = (self._epoch, model)
         return model
 
     @property
     def base(self) -> frozenset[Atom]:
-        """The current atom universe: rule atoms plus the current facts."""
-        return frozenset(self._rule_atoms | self._facts)
+        """The current atom universe: rule atoms plus the current facts.
+
+        A fact is either a rule atom or floating, so only the (usually
+        few) floating facts need adding."""
+        if not self._floating:
+            return self._rule_atoms
+        return self._rule_atoms | self._floating
 
     @property
     def context(self) -> GroundContext:
         """A :class:`GroundContext` for the current program state (used by
-        the explainer and the stats renderers)."""
+        the explainer).  The rules' object form is built on first use."""
+        if self._rule_context is None:
+            self._rule_context = build_context(self._rules)
         return dataclasses.replace(self._rule_context, facts=self._facts, base=self.base)
 
     @property
     def component_count(self) -> int:
-        return len(self._components)
+        return self._kernel.compiled.n_components
 
     @property
     def last_update(self) -> Optional[UpdateStats]:
@@ -352,11 +277,26 @@ class IncrementalEngine:
         leaves the epoch (like the model) unchanged."""
         return self._epoch
 
-    def modular_result(self) -> ModularResult:
-        """The solved state as a :class:`~repro.core.modular.ModularResult`
-        (per-component reports over the current context)."""
-        reports = tuple(report for report in self._reports if report is not None)
-        return ModularResult(context=self.context, model=self.model, components=reports)
+    def statistics(self) -> dict[str, object]:
+        """Component and size counters of the solved state: ``components``,
+        ``largest_component``, the solver ``methods`` and ``stages`` of the
+        last full solve, and the ``ground_rules`` / ``facts`` / ``atoms``
+        sizes of the current program."""
+        compiled = self._kernel.compiled
+        comp_off = compiled.comp_off
+        largest = max(
+            (comp_off[i + 1] - comp_off[i] for i in range(compiled.n_components)),
+            default=0,
+        )
+        return {
+            "components": compiled.n_components,
+            "largest_component": largest,
+            "methods": dict(self._methods),
+            "stages": self._stages,
+            "ground_rules": compiled.n_rules,
+            "facts": len(self._facts),
+            "atoms": len(self.base),
+        }
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -379,10 +319,10 @@ class IncrementalEngine:
                 else:
                     stats = self._solve_delta(facts, set(changed))
             except BaseException:
-                # A failure mid-delta (including a budget abort) leaves
-                # affected components subtracted from the aggregates but
-                # not re-added: drop to unsolved so the next refresh
-                # rebuilds from scratch instead of serving the torn state.
+                # A failure mid-pass (including a budget abort) leaves the
+                # truth vector and the maintainer's counters torn: drop to
+                # unsolved so the next refresh rebuilds from scratch
+                # instead of serving the torn state.
                 self._solved = False
                 raise
             finally:
@@ -407,143 +347,62 @@ class IncrementalEngine:
         return self._last
 
     def _solve_all(self, facts: frozenset[Atom]) -> UpdateStats:
-        self._true.clear()
-        self._false.clear()
         # Any previous maintenance state described the old solved model;
         # a fresh maintainer is primed lazily from the new one.
         self._delta = None
-        if self._kernel is not None:
-            # Every component is about to be re-solved in order, so a fresh
-            # truth vector suffices; the fact vector is rebuilt wholesale.
-            self._kernel.reset()
-            self._kernel.set_facts(facts)
-        self._floating = set(facts - self._rule_atoms)
-        methods: dict[str, int] = {}
-        meter = current_meter()
-        for index, component in enumerate(self._components):
-            meter.step("refresh")
-            comp_true, comp_false, report = self._solve_one(index, component, facts)
-            self._comp_true[index] = comp_true
-            self._comp_false[index] = comp_false
-            self._reports[index] = report
-            self._true |= comp_true
-            self._false |= comp_false
-            methods[report.method] = methods.get(report.method, 0) + 1
+        kernel = self._kernel
+        ids = self._ids
+        is_fact = kernel.is_fact
+        is_fact[:] = bytes(len(is_fact))
+        floating: set[Atom] = set()
+        for atom in facts:
+            atom_id = ids.get(atom)
+            if atom_id is None:
+                floating.add(atom)
+            else:
+                is_fact[atom_id] = 1
+        self._floating = floating
+        recorder = self._recorder
+        with recorder.span("evaluate", method="kernel") as evaluate_span:
+            methods, stages, decrements = kernel.solve_all(recorder.enabled)
+        total = kernel.compiled.n_components
+        if recorder.enabled:
+            evaluate_span.annotate(components=total, stages=stages, **methods)
+            recorder.count("kernel.decrements", decrements)
+        self._methods = methods
+        self._stages = stages
         return UpdateStats(
             mode="initial",
             changed=0,
-            components_total=len(self._components),
-            components_recomputed=len(self._components),
+            components_total=total,
+            components_recomputed=total,
             components_reused=0,
-            floating_changed=len(self._floating),
+            floating_changed=len(floating),
             methods=methods,
         )
 
-    def _solve_one(
-        self, index: int, component: set[Atom], facts: frozenset[Atom]
-    ) -> tuple[set[Atom], set[Atom], ComponentReport]:
-        """Dispatch one component, wrapping it in a ``component`` span when
-        a tracing recorder is attached (the null path adds no calls)."""
-        recorder = self._recorder
-        if recorder.enabled:
-            with recorder.span("component") as comp_span:
-                comp_true, comp_false, report = solve_component(
-                    component,
-                    index,
-                    self._rule_context.rules,
-                    self._rule_context.rules_by_head,
-                    facts,
-                    self._true,
-                    self._false,
-                    self._undef_atom,
-                    self._strategy,
-                    recorder=recorder,
-                    kernel=self._kernel,
-                )
-                comp_span.annotate(
-                    index=index,
-                    method=report.method,
-                    size=report.size,
-                    rules=report.rules,
-                    stages=report.stages,
-                )
-                recorder.count(f"components.{report.method}")
-            return comp_true, comp_false, report
-        return solve_component(
-            component,
-            index,
-            self._rule_context.rules,
-            self._rule_context.rules_by_head,
-            facts,
-            self._true,
-            self._false,
-            self._undef_atom,
-            self._strategy,
-            kernel=self._kernel,
-        )
-
     def _solve_delta(self, facts: frozenset[Atom], changed: set[Atom]) -> UpdateStats:
-        changed_rule_atoms = changed & self._rule_atoms
-        if self._kernel is not None:
-            for atom in changed_rule_atoms:
-                self._kernel.update_fact(atom, atom in facts)
+        ids = self._ids
+        is_fact = self._kernel.is_fact
+        changed_ids: list[int] = []
         floating_changed = 0
-        for atom in changed - self._rule_atoms:
+        for atom in changed:
+            present = atom in facts
+            atom_id = ids.get(atom)
+            if atom_id is not None:
+                is_fact[atom_id] = present
+                changed_ids.append(atom_id)
+                continue
             floating_changed += 1
-            if atom in facts:
+            if present:
                 self._floating.add(atom)
             else:
                 self._floating.discard(atom)
-        if self._maintenance == "delta":
-            return self._solve_delta_atoms(
-                facts, changed, changed_rule_atoms, floating_changed
-            )
-        return self._solve_delta_components(
-            facts, changed, changed_rule_atoms, floating_changed
-        )
-
-    def _solve_delta_atoms(
-        self,
-        facts: frozenset[Atom],
-        changed: set[Atom],
-        changed_rule_atoms: set[Atom],
-        floating_changed: int,
-    ) -> UpdateStats:
-        """Atom-level maintenance: one :class:`DeltaMaintainer` pass."""
-        recorder = self._recorder
         if self._delta is None:
-            self._delta = DeltaMaintainer(
-                self._rule_context.rules,
-                self._rule_context.rules_by_head,
-                self._components,
-                self._component_of,
-                self._comp_true,
-                self._comp_false,
-                self._true,
-                self._false,
-            )
+            self._delta = DeltaMaintainer(self._kernel)
         meter = current_meter()
-
-        def resolve(index: int) -> tuple[set[Atom], set[Atom]]:
-            # Sound fallback for negation-through-recursion components: a
-            # whole-component re-solve against the already-maintained
-            # aggregates.  `solve_component` only consults the aggregates
-            # for atoms *outside* the component, so the component's own
-            # stale entries need no subtraction first.
-            comp_true, comp_false, report = self._solve_one(
-                index, self._components[index], facts
-            )
-            self._reports[index] = report
-            return comp_true, comp_false
-
-        sync = self._kernel.set_truth if self._kernel is not None else None
-        outcome = self._delta.apply(
-            facts,
-            changed_rule_atoms,
-            resolve=resolve,
-            sync=sync,
-            step=lambda: meter.step("refresh"),
-        )
+        outcome = self._delta.apply(changed_ids, step=lambda: meter.step("refresh"))
+        recorder = self._recorder
         if recorder.enabled:
             recorder.count("delta.components", outcome.components)
             recorder.count("delta.changed_atoms", outcome.atoms_changed)
@@ -552,62 +411,13 @@ class IncrementalEngine:
             recorder.count(
                 "delta.resolve_fallbacks", outcome.methods.get("resolve", 0)
             )
+        total = self._kernel.compiled.n_components
         return UpdateStats(
             mode="delta",
             changed=len(changed),
-            components_total=len(self._components),
+            components_total=total,
             components_recomputed=outcome.components,
-            components_reused=len(self._components) - outcome.components,
+            components_reused=total - outcome.components,
             floating_changed=floating_changed,
             methods=dict(outcome.methods),
-        )
-
-    def _solve_delta_components(
-        self,
-        facts: frozenset[Atom],
-        changed: set[Atom],
-        changed_rule_atoms: set[Atom],
-        floating_changed: int,
-    ) -> UpdateStats:
-        """Component-level invalidation (``maintenance="component"``)."""
-        recorder = self._recorder
-        with recorder.span("affected") as affected_span:
-            # Forward closure of the changed components under `dependents`.
-            affected: set[int] = {
-                self._component_of[atom] for atom in changed_rule_atoms
-            }
-            frontier = list(affected)
-            while frontier:
-                for reader in self._dependents[frontier.pop()]:
-                    if reader not in affected:
-                        affected.add(reader)
-                        frontier.append(reader)
-
-            order = sorted(affected)
-        if recorder.enabled:
-            affected_span.annotate(changed=len(changed), components=len(order))
-        for index in order:
-            self._true -= self._comp_true[index]
-            self._false -= self._comp_false[index]
-        methods: dict[str, int] = {}
-        meter = current_meter()
-        for index in order:
-            meter.step("refresh")
-            comp_true, comp_false, report = self._solve_one(
-                index, self._components[index], facts
-            )
-            self._comp_true[index] = comp_true
-            self._comp_false[index] = comp_false
-            self._reports[index] = report
-            self._true |= comp_true
-            self._false |= comp_false
-            methods[report.method] = methods.get(report.method, 0) + 1
-        return UpdateStats(
-            mode="incremental",
-            changed=len(changed),
-            components_total=len(self._components),
-            components_recomputed=len(order),
-            components_reused=len(self._components) - len(order),
-            floating_changed=floating_changed,
-            methods=methods,
         )

@@ -24,12 +24,11 @@ whole group back) and the eventual refresh covers the net delta once.
 
 When the rules are ground and the (resolved) semantics is in the
 well-founded family with the modular or kernel engine — the defaults are
-in that family — refreshes are *incremental*: only the SCC components of
-the atom dependency graph reachable from the changed facts are re-solved
-(:mod:`repro.session.incremental`; ``engine="kernel"`` additionally runs
-each component solve over the compiled flat-array state of
-:mod:`repro.kernel`).  Any other configuration transparently falls back
-to a full re-solve per refresh, with the same observable results.
+in that family — refreshes are *incremental*: the session holds its model
+as the truth vector of the rules' compiled IR and maintains it at atom
+granularity as facts change (:mod:`repro.session.incremental`,
+:mod:`repro.delta`).  Any other configuration transparently falls back to
+a full re-solve per refresh, with the same observable results.
 """
 
 from __future__ import annotations
@@ -325,9 +324,8 @@ class KnowledgeBase:
         the affected model state.
     config:
         The :class:`~repro.config.EngineConfig` every evaluation runs
-        under.  The legacy per-field keywords (``semantics=``,
-        ``strategy=``, ...) keep working through the same deprecation shim
-        as :func:`repro.engine.solver.solve`.
+        under.  ``semantics=`` and ``limits=`` override its fields, as on
+        :func:`repro.engine.solver.solve`.
     recorder:
         Optional :class:`~repro.obs.Recorder` instrumenting the session:
         every solve and incremental refresh the knowledge base performs is
@@ -344,23 +342,9 @@ class KnowledgeBase:
         config: Optional[EngineConfig] = None,
         recorder: Optional[Recorder] = None,
         semantics: Optional[str] = None,
-        strategy: Optional[str] = None,
-        engine: Optional[str] = None,
-        grounder: Optional[str] = None,
-        matcher: Optional[str] = None,
         limits=None,
     ):
-        self._config = resolve_config(
-            config,
-            semantics=semantics,
-            strategy=strategy,
-            engine=engine,
-            grounder=grounder,
-            matcher=matcher,
-            limits=limits,
-            warn=True,
-            caller="KnowledgeBase",
-        )
+        self._config = resolve_config(config, semantics=semantics, limits=limits)
         if rules is None:
             rules = Program()
         elif isinstance(rules, str):
@@ -550,7 +534,7 @@ class KnowledgeBase:
         stats["store_indexes"] = store_stats["indexes"]
         stats["store_probes"] = store_stats["probes"]
         if self._engine is not None:
-            stats.update(self._engine.modular_result().statistics())
+            stats.update(self._engine.statistics())
         return stats
 
     # ------------------------------------------------------------------ #
@@ -675,17 +659,17 @@ class KnowledgeBase:
     def _resolve_mode(self) -> None:
         if self._incremental is not None:
             return
+        # The ground check goes first: it has no budget checkpoints, while
+        # the classification after it does, so a deadline that elapses
+        # during either trips within one checkpoint stride.
+        ground = self._config.engine in ("modular", "kernel") and self._rules.is_ground
         semantics = self._config.semantics
         if semantics == "auto":
             # Classification is a function of the rules: facts are definite
             # and add no dependency arcs, so resolving once is safe.
             semantics = resolve_auto_semantics(self._program())
         self._resolved_semantics = semantics
-        self._incremental = (
-            semantics in _WFS_FAMILY
-            and self._config.engine in ("modular", "kernel")
-            and self._rules.is_ground
-        )
+        self._incremental = ground and semantics in _WFS_FAMILY
 
     def _refresh(self) -> None:
         if not self._dirty:
@@ -721,12 +705,9 @@ class KnowledgeBase:
                 # sees every mutation itself; its first refresh is full.
                 self._engine = IncrementalEngine(
                     self._rules,
-                    strategy=self._config.strategy,
                     store=self._store,
                     recorder=self._recorder,
                     budget=self._config.budget,
-                    engine=self._config.engine,
-                    maintenance=self._config.maintenance,
                 )
             stats = self._engine.refresh_pending(frozenset(self._fact_rules))
             solution = Solution(
@@ -737,12 +718,6 @@ class KnowledgeBase:
                 strategy=self._config.strategy,
                 engine=self._config.engine,
                 config=self._config,
-                # The engine's context is a cheap frozen view over its
-                # cached rule grounding: carrying it lets a detached
-                # SessionSnapshot build an explainer without re-grounding
-                # (and without touching the live engine from reader
-                # threads).
-                context=self._engine.context,
             )
         else:
             started = time.perf_counter()

@@ -316,26 +316,41 @@ class SqliteStore(FactStore):
                 return f"facts_{table_id}"
             if not create:
                 return None
-            cursor = self._execute(
-                "INSERT INTO repro_relations (predicate, arity) VALUES (?, ?)",
-                (predicate, arity),
-            )
-            table_id = cursor.lastrowid
-            columns = ", ".join(f"c{i} TEXT NOT NULL" for i in range(arity))
-            unique = ", ".join(f"c{i}" for i in range(arity))
-            if arity:
-                self._execute(
-                    f"CREATE TABLE facts_{table_id} "
-                    f"(seq INTEGER PRIMARY KEY AUTOINCREMENT, {columns}, UNIQUE ({unique}))"
-                )
-            else:
-                # Propositional relation: at most one (argument-less) row.
-                self._execute(
-                    f"CREATE TABLE facts_{table_id} "
-                    f"(seq INTEGER PRIMARY KEY AUTOINCREMENT, present INTEGER UNIQUE)"
-                )
+            table_id = self._create_relation(predicate, arity)
             self._tables[(predicate, arity)] = table_id
         return f"facts_{table_id}"
+
+    def _create_relation(self, predicate: str, arity: int) -> int:
+        """Catalogue a relation and create its ``facts_<id>`` table as one
+        unit: both statements run in one savepoint under the store mutex,
+        so neither a crash between them nor a reader thread on the shared
+        connection can see a catalogue row without its table."""
+        columns = ", ".join(f"c{i} TEXT NOT NULL" for i in range(arity))
+        unique = ", ".join(f"c{i}" for i in range(arity))
+        with self._mutex:
+            self._execute("SAVEPOINT repro_create_relation")
+            try:
+                table_id = self._execute(
+                    "INSERT INTO repro_relations (predicate, arity) VALUES (?, ?)",
+                    (predicate, arity),
+                ).lastrowid
+                if arity:
+                    self._execute(
+                        f"CREATE TABLE facts_{table_id} "
+                        f"(seq INTEGER PRIMARY KEY AUTOINCREMENT, {columns}, UNIQUE ({unique}))"
+                    )
+                else:
+                    # Propositional relation: at most one (argument-less) row.
+                    self._execute(
+                        f"CREATE TABLE facts_{table_id} "
+                        f"(seq INTEGER PRIMARY KEY AUTOINCREMENT, present INTEGER UNIQUE)"
+                    )
+            except BaseException:
+                self._execute("ROLLBACK TO repro_create_relation")
+                self._execute("RELEASE repro_create_relation")
+                raise
+            self._execute("RELEASE repro_create_relation")
+        return table_id
 
     def _encode_row(self, atom: Atom) -> list[str]:
         return [encode_term(term) for term in atom.args]

@@ -1,10 +1,10 @@
 """Unit tests for atom-level delta maintenance (repro.delta).
 
 The maintainer is exercised the way its one real caller drives it —
-through :class:`~repro.session.IncrementalEngine` with
-``maintenance="delta"`` — plus direct :func:`classify_component` checks
-on the method dispatch.  Every maintained model is compared against a
-from-scratch solve of the same program.
+through :class:`~repro.session.IncrementalEngine` — plus direct
+:func:`classify_component` checks on the method dispatch.  Every
+maintained model is compared against a from-scratch solve of the same
+program.
 """
 
 import pytest
@@ -23,11 +23,11 @@ WFS = EngineConfig(semantics="well-founded")
 class _Harness:
     """One engine plus the mutable fact set and the rules to re-solve."""
 
-    def __init__(self, text: str, maintenance: str = "delta"):
+    def __init__(self, text: str):
         program = parse_program(text)
         self.rules = Program(rule for rule in program if not rule.is_fact)
         self.facts = {rule.head for rule in program.facts()}
-        self.engine = IncrementalEngine(self.rules, maintenance=maintenance)
+        self.engine = IncrementalEngine(self.rules)
         self.engine.refresh(frozenset(self.facts), None)
 
     def refresh(self, atom_name: str, *, add: bool):
@@ -45,12 +45,14 @@ class _Harness:
 class TestClassify:
     def _methods(self, text):
         harness = _Harness(text)
-        context = harness.engine._rule_context
+        compiled = harness.engine._kernel.compiled
+        atoms = compiled.table.atoms
+        comp_off = compiled.comp_off
         return {
-            frozenset(str(atom) for atom in component): classify_component(
-                component, context.rules, context.rules_by_head
-            )
-            for component in harness.engine._components
+            frozenset(
+                str(atoms[i]) for i in compiled.comp_atoms[comp_off[c] : comp_off[c + 1]]
+            ): classify_component(compiled, c)
+            for c in range(compiled.n_components)
         }
 
     def test_stratified_singletons_use_counting(self):
@@ -134,17 +136,27 @@ class TestResolveFallback:
         harness.check()
 
 
-class TestComponentModeStillAvailable:
-    def test_component_maintenance_refreshes_as_incremental(self):
-        harness = _Harness("a. b :- a, not c.", maintenance="component")
-        assert harness.engine.maintenance == "component"
+class TestSolvedStateIsTheTruthVector:
+    def test_maintenance_writes_the_kernel_truth_vector(self):
+        harness = _Harness("a. b :- a, not c.")
+        kernel = harness.engine._kernel
+        b = kernel.compiled.table.id_of(Atom("b", ()))
+        assert kernel.truth[b] == 1
         stats = harness.refresh("c", add=True)
-        assert stats.mode == "incremental"
+        assert stats.mode == "delta"
+        assert kernel.truth[b] == 2
         harness.check()
 
-    def test_unknown_maintenance_rejected(self):
-        with pytest.raises(Exception):
-            IncrementalEngine(Program(), maintenance="telepathy")
+    def test_maintainer_is_rebuilt_after_a_full_solve(self):
+        harness = _Harness("a. b :- a, not c.")
+        harness.refresh("c", add=True)
+        first = harness.engine._delta
+        assert first is not None
+        harness.engine.refresh(frozenset(harness.facts), None)
+        assert harness.engine._delta is None
+        harness.refresh("c", add=False)
+        assert harness.engine._delta is not first
+        harness.check()
 
 
 class TestPendingChanges:
@@ -199,12 +211,12 @@ class TestSessionDefaults:
         assert kb.is_false("b")
         assert kb.last_update.mode == "delta"
 
-    def test_component_maintenance_via_config(self):
-        kb = KnowledgeBase(
-            "a. b :- a, not c.",
-            config=WFS.replace(maintenance="component"),
-        )
+    def test_session_delta_matches_scratch_solve(self):
+        kb = KnowledgeBase("a. b :- a, not c. d :- not b.", config=WFS)
         kb.solution
         kb.assert_fact("c")
-        assert kb.is_false("b")
-        assert kb.last_update.mode == "incremental"
+        assert kb.is_true("d")
+        assert kb.last_update.mode == "delta"
+        scratch = solve_configured(kb._program(), WFS)
+        assert kb.solution.interpretation == scratch.interpretation
+        assert kb.solution.base == scratch.base

@@ -90,18 +90,18 @@ class TestResolveConfig:
         assert merged.semantics == "stable"
         assert merged.limits.max_rules == 9
 
-    def test_mixing_config_and_legacy_kwargs_rejected(self):
-        with pytest.raises(EvaluationError, match="config="):
+    def test_legacy_evaluation_kwargs_are_gone(self):
+        with pytest.raises(TypeError):
             resolve_config(EngineConfig(), strategy="naive")
 
-    def test_legacy_kwargs_warn_when_asked(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = resolve_config(None, engine="monolithic", warn=True)
-        assert config.engine == "monolithic"
+    def test_no_config_builds_the_default_with_overrides(self):
+        config = resolve_config(None, semantics="stable")
+        assert config == EngineConfig(semantics="stable")
+        assert resolve_config(None) == EngineConfig()
 
-    def test_unset_kwargs_do_not_warn(self, recwarn):
-        resolve_config(None, semantics="stable", warn=True)
-        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
+    def test_unknown_semantics_override_rejected(self):
+        with pytest.raises(EvaluationError, match="unknown semantics"):
+            resolve_config(EngineConfig(), semantics="telepathic")
 
 
 class TestSolveIntegration:
@@ -117,12 +117,12 @@ class TestSolveIntegration:
         solution = solve(self.GAME, "well-founded", config=EngineConfig())
         assert solution.semantics == "well-founded"
 
-    def test_solve_rejects_config_plus_legacy(self):
-        with pytest.raises(EvaluationError, match="config="):
+    def test_solve_rejects_legacy_engine_keyword(self):
+        with pytest.raises(TypeError):
             solve(self.GAME, config=EngineConfig(), engine="monolithic")
 
-    def test_solve_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
+    def test_solve_rejects_legacy_strategy_keyword(self):
+        with pytest.raises(TypeError):
             solve(self.GAME, strategy="naive")
 
     def test_entry_points_accept_config(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datalog import Database, parse_program
 from repro.datalog.atoms import atom
 from repro.engine.solver import SUPPORTED_SEMANTICS, solve
@@ -92,8 +93,10 @@ class TestEngineSelection:
 
     def test_engines_agree_on_wfs_semantics(self):
         for semantics in ("alternating-fixpoint", "well-founded"):
-            modular = solve(self.GAME, semantics=semantics, engine="modular")
-            monolithic = solve(self.GAME, semantics=semantics, engine="monolithic")
+            modular = solve(self.GAME, config=EngineConfig(semantics=semantics, engine="modular"))
+            monolithic = solve(
+                self.GAME, config=EngineConfig(semantics=semantics, engine="monolithic")
+            )
             assert modular.interpretation == monolithic.interpretation
             assert modular.engine == "modular"
             assert monolithic.engine == "monolithic"
@@ -106,7 +109,7 @@ class TestEngineSelection:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(EvaluationError):
-            solve(self.GAME, engine="hyperdrive")
+            solve(self.GAME, config=EngineConfig(engine="hyperdrive"))
 
     def test_engine_constant_exported(self):
         from repro.engine.solver import EVALUATION_ENGINES

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.config import EngineConfig
 from repro.engine import EVALUATION_STRATEGIES, solve
 from repro.exceptions import EvaluationError
 from repro.games import figure4b_edges, win_move_program
@@ -27,7 +28,7 @@ class TestSolveStrategy:
     @pytest.mark.parametrize("semantics", ["auto", "well-founded", "alternating-fixpoint"])
     def test_strategies_agree_on_win_move(self, semantics):
         solutions = {
-            strategy: solve(WIN_MOVE, semantics=semantics, strategy=strategy)
+            strategy: solve(WIN_MOVE, config=EngineConfig(semantics=semantics, strategy=strategy))
             for strategy in EVALUATION_STRATEGIES
         }
         reference = solutions["seminaive"]
@@ -37,18 +38,18 @@ class TestSolveStrategy:
 
     @pytest.mark.parametrize("semantics", ["stratified", "stable"])
     def test_strategies_agree_on_ntc(self, semantics):
-        fast = solve(NTC, semantics=semantics, strategy="seminaive")
-        slow = solve(NTC, semantics=semantics, strategy="naive")
+        fast = solve(NTC, config=EngineConfig(semantics=semantics, strategy="seminaive"))
+        slow = solve(NTC, config=EngineConfig(semantics=semantics, strategy="naive"))
         assert fast.true_atoms() == slow.true_atoms()
         assert fast.false_atoms() == slow.false_atoms()
 
     def test_solution_records_the_strategy(self):
-        assert solve(WIN_MOVE, strategy="naive").strategy == "naive"
+        assert solve(WIN_MOVE, config=EngineConfig(strategy="naive")).strategy == "naive"
         assert solve(WIN_MOVE).strategy == "seminaive"
 
     def test_unknown_strategy_raises(self):
         with pytest.raises(EvaluationError, match="unknown evaluation strategy"):
-            solve(WIN_MOVE, strategy="quantum")
+            solve(WIN_MOVE, config=EngineConfig(strategy="quantum"))
 
 
 class TestCliStrategy:

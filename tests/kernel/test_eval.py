@@ -7,6 +7,7 @@ from repro.games.winmove import figure4a_edges, solve_game, win_move_program
 from repro.kernel import (
     ComponentKernel,
     compile_context,
+    decode_model,
     evaluate_compiled,
     get_kernel,
     kernel_model,
@@ -105,48 +106,47 @@ class TestComponentKernel:
         batch = kernel_well_founded(context).model
 
         kernel = ComponentKernel(compiled)
-        kernel.reset()
-        kernel.set_facts({parse_atom("r")})
-        true_atoms: set = set()
-        false_atoms: set = set()
+        kernel.is_fact[compiled.table.id_of(parse_atom("r"))] = 1
         for comp in range(compiled.n_components):
-            members = {
-                compiled.table.atom_of(i)
-                for i in compiled.comp_atoms[
-                    compiled.comp_off[comp] : compiled.comp_off[comp + 1]
-                ]
-            }
-            solved = kernel.solve_component(members)
-            assert solved is not None
-            comp_true, comp_false, method, rules, stages, decrements = solved
-            true_atoms |= comp_true
-            false_atoms |= comp_false
-        assert true_atoms == set(batch.true_atoms)
-        assert false_atoms == set(batch.false_atoms)
+            comp_true, comp_false, method, rules, stages, decrements = (
+                kernel.solve_component(comp)
+            )
+            for atom_id in comp_true:
+                kernel.truth[atom_id] = TRUE
+            for atom_id in comp_false:
+                kernel.truth[atom_id] = FALSE
+        assert decode_model(compiled, kernel.truth) == batch
 
-    def test_update_fact_flips_downstream_components(self):
-        context = build_context(parse_program("p :- not q."))
-        kernel = ComponentKernel(get_kernel(context))
-        kernel.reset()
-        kernel.set_facts(set())
-        q = parse_atom("q")
+    def test_solve_all_matches_batch(self):
+        text = "r. q :- r. p :- not q. win :- q, not lose. lose :- not win."
+        context = build_context(parse_program(text))
+        compiled = get_kernel(context)
+        kernel = ComponentKernel(compiled)
+        kernel.is_fact[compiled.table.id_of(parse_atom("r"))] = 1
+        truth = kernel.truth
+        methods, stages, _ = kernel.solve_all()
+        assert kernel.truth is truth  # one vector for the kernel's lifetime
+        assert decode_model(compiled, kernel.truth) == kernel_well_founded(context).model
+        assert methods == {"horn": 3, "alternating": 1}
+        assert stages >= 4
 
-        def solve(name):
-            comp_true, comp_false, *_ = kernel.solve_component({parse_atom(name)})
-            return bool(comp_true)
+    def test_fact_flip_moves_downstream_components(self):
+        compiled = get_kernel(build_context(parse_program("p :- not q.")))
+        kernel = ComponentKernel(compiled)
+        p = compiled.table.id_of(parse_atom("p"))
+        q = compiled.table.id_of(parse_atom("q"))
+        kernel.solve_all()
+        assert (kernel.truth[p], kernel.truth[q]) == (TRUE, FALSE)
+        kernel.is_fact[q] = 1
+        kernel.solve_all()
+        assert (kernel.truth[p], kernel.truth[q]) == (FALSE, TRUE)
 
-        assert solve("q") is False
-        assert solve("p") is True
-        kernel.update_fact(q, True)
-        assert solve("q") is True
-        assert solve("p") is False
-        kernel.update_fact(q, False)
-        assert solve("q") is False
-
-    def test_facts_outside_the_table_are_ignored(self):
-        context = build_context(parse_program("p :- not q."))
-        kernel = ComponentKernel(get_kernel(context))
-        kernel.reset()
-        kernel.set_facts({parse_atom("stranger(1)")})  # no KeyError
-        kernel.update_fact(parse_atom("stranger(2)"), True)
-        assert kernel.solve_component({parse_atom("stranger(1)")}) is None
+    def test_decode_adds_extra_true_atoms(self):
+        compiled = get_kernel(build_context(parse_program("p :- not q.")))
+        kernel = ComponentKernel(compiled)
+        kernel.solve_all()
+        stranger = parse_atom("stranger(1)")
+        model = decode_model(compiled, kernel.truth, {stranger})
+        assert model.is_true(stranger)
+        assert model.is_true(parse_atom("p"))
+        assert model.is_false(parse_atom("q"))

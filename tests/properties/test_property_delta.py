@@ -1,11 +1,11 @@
 """Property: atom-level delta maintenance is invisible.
 
-Random assert/retract/batch churn against sessions running the
-``maintenance="delta"`` fast path (counting + DRed + resolve fallback)
-must stay byte-identical, after *every* refresh, to a from-scratch solve
-of the current program — through both the in-memory and the durable
-SQLite store, and in lockstep with a ``maintenance="component"`` session
-applying the same operations.  This is the soundness contract of
+Random assert/retract/batch churn against sessions running atom-level
+delta maintenance (counting + DRed + resolve fallback) must stay
+byte-identical, after *every* refresh, to a from-scratch solve of the
+current program — through both the in-memory and the durable SQLite
+store, and in lockstep with a session that re-solves from scratch on
+every refresh (the monolithic engine) applying the same operations.  This is the soundness contract of
 :mod:`repro.delta`: no counter drift, no over- or under-deletion, no
 stale verdict survives any interleaving.
 """
@@ -29,8 +29,8 @@ from repro.workloads import random_propositional_program, social_graph_stream
 
 ATOM_POOL = 12
 
-DELTA = EngineConfig(semantics="well-founded", maintenance="delta")
-COMPONENT = EngineConfig(semantics="well-founded", maintenance="component")
+DELTA = EngineConfig(semantics="well-founded")
+REBUILD = EngineConfig(semantics="well-founded", engine="monolithic")
 
 
 def _model_bytes(solution) -> bytes:
@@ -84,14 +84,15 @@ class TestDeltaLockstep:
 
     @given(seed=st.integers(min_value=0, max_value=15), operations=_operations)
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_delta_and_component_sessions_agree(self, seed, operations):
+    def test_delta_and_rebuilding_sessions_agree(self, seed, operations):
         program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
         delta = KnowledgeBase(program, config=DELTA)
-        component = KnowledgeBase(program, config=COMPONENT)
+        rebuild = KnowledgeBase(program, config=REBUILD)
+        assert delta.is_incremental and not rebuild.is_incremental
         for insert, atom in operations:
-            for kb in (delta, component):
+            for kb in (delta, rebuild):
                 (kb.assert_fact if insert else kb.retract_fact)(atom)
-            assert _model_bytes(delta.solution) == _model_bytes(component.solution)
+            assert _model_bytes(delta.solution) == _model_bytes(rebuild.solution)
 
     @given(seed=st.integers(min_value=0, max_value=15), operations=_operations)
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

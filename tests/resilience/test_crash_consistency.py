@@ -41,6 +41,47 @@ with kb.batch():
 """
 
 
+CREATE_CRASH_SCRIPT = """
+import os, sys
+sys.path.insert(0, {src!r})
+from repro.datalog import parse_atom
+from repro.storage import SqliteStore
+
+store = SqliteStore({path!r})
+execute = SqliteStore._execute
+
+def crash_before_create(self, sql, parameters=()):
+    if sql.startswith("CREATE TABLE facts_"):
+        os._exit(7)  # simulated crash between catalogue row and table
+    return execute(self, sql, parameters)
+
+SqliteStore._execute = crash_before_create
+store.add_atom(parse_atom("edge(1, 2)"))
+"""
+
+
+class TestCrashMidRelationCreation:
+    def test_crash_before_create_table_leaves_a_healthy_store(self, tmp_path):
+        path = str(tmp_path / "create.db")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+        SqliteStore(path).close()
+        script = CREATE_CRASH_SCRIPT.format(src=src, path=path)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 7, result.stderr
+
+        # The catalogue row and its table commit together or not at all:
+        # the store reopens without the half-created relation.
+        store = SqliteStore(path)
+        try:
+            assert store.signatures() == set()
+            assert store.add_atom(parse_atom("edge(1, 2)"))
+            assert store.count("edge", 2) == 1
+        finally:
+            store.close()
+
+
 class TestCrashMidBatch:
     def test_killed_process_leaves_pre_batch_state(self, tmp_path):
         path = str(tmp_path / "crash.db")

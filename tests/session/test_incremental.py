@@ -1,4 +1,4 @@
-"""Unit tests for component-level incremental maintenance."""
+"""Unit tests for incremental maintenance of a ground session's model."""
 
 import pytest
 
@@ -106,13 +106,15 @@ class TestEngineDirect:
         assert stats.mode == "initial"
         assert engine.model.is_true(next(iter(engine.base & {a for a in engine.base if a.predicate == "p"})))
 
-    def test_modular_result_view(self):
+    def test_statistics_view(self):
         engine = IncrementalEngine(parse_program("p :- not q. r :- p."))
         engine.refresh(frozenset(), None)
-        result = engine.modular_result()
-        assert result.component_count == engine.component_count
-        assert result.model == engine.model
-        assert "components" in result.statistics()
+        stats = engine.statistics()
+        assert stats["components"] == engine.component_count == 3
+        assert stats["largest_component"] == 1
+        assert stats["methods"] == {"horn": 3}
+        assert stats["ground_rules"] == 2
+        assert stats["atoms"] == len(engine.base) == 3
 
     def test_failed_delta_falls_back_to_full_resolve(self, monkeypatch):
         from repro.datalog import parse_atom

@@ -1,9 +1,9 @@
 """Kernel engagement and fallback paths across the session layer.
 
-The compiled kernel (:mod:`repro.kernel`) must engage exactly when it is
-sound — ground rules, well-founded-family semantics, modular-style
-dispatch — and every other configuration must fall back to the object
-engines with identical models.  These tests pin each gate.
+The compiled kernel (:mod:`repro.kernel`) holds the solved state of every
+incremental session — ground rules, well-founded-family semantics,
+modular-style dispatch — and every other configuration must fall back to
+a full re-solve with identical models.  These tests pin each gate.
 """
 
 import pytest
@@ -38,7 +38,7 @@ class TestKernelEngagement:
         )
         assert kb.is_incremental
         kb.solution  # force the lazily-built engine
-        assert kb._engine.engine == "kernel"
+        assert isinstance(kb._engine._kernel, ComponentKernel)
 
     def test_kernel_kb_matches_modular_kb_across_updates(self):
         config = lambda engine: EngineConfig(semantics="well-founded", engine=engine)
@@ -101,31 +101,31 @@ class TestFallbacks:
             text, config=EngineConfig(semantics=semantics, engine="kernel")
         )
         assert not kb.is_incremental
-        with_kernel = solve(text, semantics=semantics, engine="kernel")
-        plain = solve(text, semantics=semantics, engine="modular")
+        with_kernel = solve(text, config=EngineConfig(semantics=semantics, engine="kernel"))
+        plain = solve(text, config=EngineConfig(semantics=semantics, engine="modular"))
         assert with_kernel.interpretation == plain.interpretation
 
-    def test_solve_component_unknown_atom_returns_none(self):
-        context = build_context(parse_program("p :- not q."))
-        kernel = ComponentKernel(get_kernel(context))
-        kernel.reset()
-        assert kernel.solve_component({parse_atom("stranger")}) is None
-        # Known atoms still resolve.
-        assert kernel.solve_component({parse_atom("p")}) is not None
+    def test_solve_component_leaves_truth_untouched(self):
+        compiled = get_kernel(build_context(parse_program("p :- not q.")))
+        kernel = ComponentKernel(compiled)
+        p = compiled.table.id_of(parse_atom("p"))
+        # q is false (no rules); p's component reads it from the truth
+        # vector, and the re-solve reports p true without writing it.
+        kernel.truth[compiled.table.id_of(parse_atom("q"))] = 2
+        true_ids, false_ids, method, *_ = kernel.solve_component(compiled.comp_of[p])
+        assert list(true_ids) == [p] and not list(false_ids)
+        assert method == "horn"
+        assert kernel.truth[p] == 0
 
-    def test_object_path_covers_a_declining_kernel(self, monkeypatch):
-        """When the kernel declines a component (returns None), the object
-        path must transparently produce the same model."""
+    def test_kernel_session_matches_monolithic_oracle(self):
         rules = parse_program("p :- not q. q :- r. win :- not lose. lose :- not win.")
-        engine = IncrementalEngine(rules, engine="kernel")
-        monkeypatch.setattr(
-            ComponentKernel, "solve_component", lambda self, c, tracing=False: None
-        )
+        engine = IncrementalEngine(rules)
         engine.refresh(frozenset({parse_atom("r")}), None)
-        fallback_model = engine.model
-        monkeypatch.undo()
-        oracle = IncrementalEngine(rules, engine="modular")
-        oracle.refresh(frozenset({parse_atom("r")}), None)
-        assert fallback_model == oracle.model
-        assert fallback_model.is_true(parse_atom("q"))
-        assert fallback_model.is_false(parse_atom("p"))
+        oracle = solve(
+            "r. " + " ".join(str(rule) for rule in rules),
+            config=EngineConfig(semantics="well-founded", engine="monolithic"),
+        )
+        assert engine.model == oracle.interpretation
+        assert engine.base == oracle.base
+        assert engine.model.is_true(parse_atom("q"))
+        assert engine.model.is_false(parse_atom("p"))

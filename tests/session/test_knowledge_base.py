@@ -40,11 +40,10 @@ class TestConstruction:
         assert kb.is_true("color", "red")
         assert kb.is_false("color", "blue")
 
-    def test_legacy_kwargs_warn_and_config_conflicts_raise(self):
-        with pytest.warns(DeprecationWarning):
-            kb = KnowledgeBase(GAME_TEXT, strategy="naive")
+    def test_config_carries_evaluation_choices_and_legacy_kwargs_are_gone(self):
+        kb = KnowledgeBase(GAME_TEXT, config=EngineConfig(strategy="naive"))
         assert kb.config.strategy == "naive"
-        with pytest.raises(EvaluationError, match="config="):
+        with pytest.raises(TypeError):
             KnowledgeBase(GAME_TEXT, strategy="naive", config=EngineConfig())
 
 

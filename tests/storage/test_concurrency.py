@@ -34,7 +34,13 @@ class TestSqliteWalConcurrency:
         failures: list[str] = []
 
         def reader_loop():
-            store = SqliteStore(path)
+            # Any exception in a reader (a half-created relation, say) is
+            # a failure of the test, not only a warning from the thread.
+            try:
+                store = SqliteStore(path)
+            except Exception as error:  # noqa: BLE001 - recorded, asserted below
+                failures.append(f"reader could not open the store: {error!r}")
+                return
             try:
                 last = 0
                 while not done.is_set() or last < total:
@@ -50,6 +56,8 @@ class TestSqliteWalConcurrency:
                     last = seen
                     if done.is_set() and last >= total:
                         break
+            except Exception as error:  # noqa: BLE001 - recorded, asserted below
+                failures.append(f"reader raised {error!r}")
             finally:
                 store.close()
 
